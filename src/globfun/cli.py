@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 clean, 1 when a mathematical check fails (a falsified
-invariant, not a bug in the caller), 2 for usage and cap errors.  JSON
-output is canonical: sorted keys, integers only, so parse-and-reserialize
-is byte-identical.
+invariant, not a bug in the caller), 2 for every other package error, such
+as usage, caps and unsupported groups.  JSON output is canonical: sorted
+keys, integers only, so parse-and-reserialize is byte-identical.
 """
 
 import argparse
@@ -16,7 +16,7 @@ from .burncat import product_section, section_of_restriction
 from .burnside import BurnsideFunctor
 from .cache import Cache
 from .characters import char_table_symmetric
-from .errors import CapExceededError, MathCheckError, NonIntegralError, UsageError
+from .errors import CapExceededError, GlobfunError, MathCheckError, NonIntegralError, UsageError
 from .functors import standard_probe, verify_axioms
 from .perms import parse_group_spec
 from .repring import RepRingFunctor
@@ -62,10 +62,7 @@ class Config:
 
 
 def _group(config: Config, spec: str):
-    g = parse_group_spec(spec)
-    if g.order > config.max_group_order:
-        raise CapExceededError("group order", config.max_group_order)
-    return g
+    return parse_group_spec(spec, cap=config.max_group_order)
 
 
 def _functor(config: Config, name: str):
@@ -81,9 +78,12 @@ def _functor(config: Config, name: str):
 
 def _cmd_marks(config, cache, args):
     key = args.group.strip()
+    # caps are checked before the cache lookup, so warm and cold runs agree
+    g = _group(config, args.group)
+    if g.order > config.max_lattice_order:
+        raise CapExceededError("subgroup lattice order", config.max_lattice_order)
     payload = cache.get("marks", key)
     if payload is None:
-        g = _group(config, args.group)
         lat, marks = table_of_marks(g, cap=config.max_lattice_order)
         payload = {
             "group": key,
@@ -294,12 +294,12 @@ def main(argv=None) -> int:
         config = Config.from_args(args)
         cache = Cache(config.cache_dir, enabled=not args.no_cache)
         payload, lines, ok = args.handler(config, cache, args)
-    except (UsageError, CapExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (MathCheckError, NonIntegralError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
+    except GlobfunError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if config.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:

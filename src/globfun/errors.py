@@ -1,7 +1,8 @@
 """Shared exception types.
 
-Exit-code mapping in the CLI: UsageError and CapExceededError exit 2,
-MathCheckError exits 1, everything clean exits 0.
+Exit-code mapping in the CLI: MathCheckError and NonIntegralError exit 1,
+every other GlobfunError exits 2 with a one-line "error:" message, and a
+clean run exits 0.
 """
 
 

@@ -7,8 +7,6 @@ row space / kernel conventions are spelled out per function.
 
 from __future__ import annotations
 
-from math import gcd
-
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
@@ -46,10 +44,6 @@ def mat_vec(a, v) -> list[int]:
 
 def mat_add(a, b) -> list[list[int]]:
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a, b) -> list[list[int]]:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_eq(a, b) -> bool:
@@ -211,114 +205,3 @@ def det_exact(a) -> int:
 
 def is_unimodular(a) -> bool:
     return len(a) == (len(a[0]) if a else 0) and abs(det_exact(a)) == 1
-
-
-def smith_normal_form(a):
-    """Smith normal form: returns (D, S, T) with S*A*T = D diagonal,
-    S and T unimodular, and each diagonal entry dividing the next."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [list(r) for r in a]
-    s = identity_matrix(rows)
-    t = identity_matrix(cols)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        s[i], s[j] = s[j], s[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in t:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(i, j, q):  # row_i -= q * row_j
-        d[i] = [x - q * y for x, y in zip(d[i], d[j])]
-        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-
-    def add_col(i, j, q):  # col_i -= q * col_j
-        for row in d:
-            row[i] -= q * row[j]
-        for row in t:
-            row[i] -= q * row[j]
-
-    def clear_block(k):
-        """Make (k,k) the only nonzero in its row and column below/right of k."""
-        while True:
-            piv = None
-            for i in range(k, rows):
-                for j in range(k, cols):
-                    if d[i][j] and (piv is None or abs(d[i][j]) < abs(d[piv[0]][piv[1]])):
-                        piv = (i, j)
-            if piv is None:
-                return False
-            if piv[0] != k:
-                swap_rows(k, piv[0])
-            if piv[1] != k:
-                swap_cols(k, piv[1])
-            dirty = False
-            for i in range(k + 1, rows):
-                if d[i][k]:
-                    add_row(i, k, d[i][k] // d[k][k])
-                    dirty = dirty or bool(d[i][k])
-            for j in range(k + 1, cols):
-                if d[k][j]:
-                    add_col(j, k, d[k][j] // d[k][k])
-                    dirty = dirty or bool(d[k][j])
-            if not dirty:
-                return True
-
-    k = 0
-    while k < rows and k < cols:
-        if not clear_block(k):
-            break
-        if d[k][k] < 0:
-            d[k] = [-x for x in d[k]]
-            s[k] = [-x for x in s[k]]
-        k += 1
-    def clear_2x2(i):
-        """Euclidean dance on rows/cols i, i+1 only, until the block is
-        diagonal with d[i][i] dividing d[i+1][i+1]."""
-        while True:
-            entries = [(r, c) for r in (i, i + 1) for c in (i, i + 1) if d[r][c]]
-            if not entries:
-                return
-            r0, c0 = min(entries, key=lambda rc: abs(d[rc[0]][rc[1]]))
-            if r0 != i:
-                swap_rows(i, r0)
-            if c0 != i:
-                swap_cols(i, c0)
-            if d[i + 1][i]:
-                add_row(i + 1, i, d[i + 1][i] // d[i][i])
-            if d[i][i + 1]:
-                add_col(i + 1, i, d[i][i + 1] // d[i][i])
-            if not d[i + 1][i] and not d[i][i + 1]:
-                if d[i + 1][i + 1] % d[i][i] == 0:
-                    return
-                add_col(i, i + 1, -1)  # restart with the pair mixed
-
-    # enforce the divisibility chain: mixing column i+1 into column i puts
-    # d[i+1][i+1] below the diagonal, and the local 2x2 pass leaves gcd/lcm
-    changed = True
-    while changed:
-        changed = False
-        for i in range(min(rows, cols) - 1):
-            x, y = d[i][i], d[i + 1][i + 1]
-            if x and y and y % x:
-                add_col(i, i + 1, -1)
-                clear_2x2(i)
-                for r in (i, i + 1):
-                    if d[r][r] < 0:
-                        d[r] = [-v for v in d[r]]
-                        s[r] = [-v for v in s[r]]
-                changed = True
-    return d, s, t
-
-
-def smith_or_hermite(a, form: str = "hermite"):
-    """Either decomposition behind one name; `form` is "hermite" or "smith"."""
-    if form == "hermite":
-        return hermite_normal_form(a)
-    if form == "smith":
-        return smith_normal_form(a)
-    raise ValueError(f"unknown form {form!r}")

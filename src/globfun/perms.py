@@ -359,7 +359,7 @@ def _small_generating_set(degree, sorted_elems, eset):
 # standard groups
 
 
-def symmetric_group(n: int) -> PermGroup:
+def symmetric_group(n: int, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
     """Sym(n) on {1..n}; n = 0 and n = 1 are both the trivial group on one point."""
     if n < 0:
         raise UsageError("n must be >= 0")
@@ -368,10 +368,10 @@ def symmetric_group(n: int) -> PermGroup:
     gens = [Perm.from_cycles(n, [(1, 2)])]
     if n > 2:
         gens.append(Perm.from_cycles(n, [tuple(range(1, n + 1))]))
-    return PermGroup(n, gens, name=f"S{n}")
+    return PermGroup(n, gens, cap, name=f"S{n}")
 
 
-def alternating_group(n: int) -> PermGroup:
+def alternating_group(n: int, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
     """Alt(n) on {1..n}; trivial for n <= 2."""
     if n < 0:
         raise UsageError("n must be >= 0")
@@ -383,11 +383,16 @@ def alternating_group(n: int) -> PermGroup:
         gens = [Perm.from_cycles(n, [(1, 2, 3)]), Perm.from_cycles(n, [tuple(range(1, n + 1))])]
     else:
         gens = [Perm.from_cycles(n, [(1, 2, 3)]), Perm.from_cycles(n, [tuple(range(2, n + 1))])]
-    return PermGroup(n, gens, name=f"A{n}")
+    return PermGroup(n, gens, cap, name=f"A{n}")
 
 
-def young_subgroup(degree: int, blocks) -> PermGroup:
-    """Product of full symmetric groups on disjoint blocks; other points fixed."""
+def young_subgroup(
+    degree: int, blocks, cap: int = DEFAULT_MAX_GROUP_ORDER, name: str | None = None
+) -> PermGroup:
+    """Product of full symmetric groups on disjoint blocks; other points fixed.
+
+    Without a name, the group is named after its nontrivial blocks.
+    """
     blocks = [tuple(sorted(b)) for b in blocks if len(b) > 0]
     used = set()
     for b in blocks:
@@ -401,15 +406,18 @@ def young_subgroup(degree: int, blocks) -> PermGroup:
     for b in blocks:
         for a, c in zip(b, b[1:]):
             gens.append(Perm.from_cycles(degree, [(a, c)]))
-    name = "x".join(f"S({','.join(map(str, b))})" for b in blocks if len(b) > 1)
-    return PermGroup(degree, gens, name=name or "e")
+    if name is None:
+        name = "x".join(f"S({','.join(map(str, b))})" for b in blocks if len(b) > 1) or "e"
+    return PermGroup(degree, gens, cap, name=name)
 
 
-def young_two_block(n: int, k: int) -> PermGroup:
+def young_two_block(
+    n: int, k: int, cap: int = DEFAULT_MAX_GROUP_ORDER, name: str | None = None
+) -> PermGroup:
     """The subgroup of Sym(n) preserving {1..k} and {k+1..n}."""
     if not 0 <= k <= n:
         raise UsageError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return young_subgroup(n, [range(1, k + 1), range(k + 1, n + 1)])
+    return young_subgroup(n, [range(1, k + 1), range(k + 1, n + 1)], cap, name)
 
 
 def product_group(a: PermGroup, b: PermGroup) -> PermGroup:
@@ -430,27 +438,26 @@ _GROUP_SPEC_RE = re.compile(
 )
 
 
-def parse_group_spec(spec: str) -> PermGroup:
+def parse_group_spec(spec: str, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
     """Build a group from the mini-language: S<n>, A<n>, S<k>xS<l>, Y<k>,<l>.
 
     S<k>xS<l> and Y<k>,<l> both give the block subgroup of Sym(k+l)
     preserving {1..k} and {k+1..k+l}; that subgroup is the concrete
-    realization of the product used throughout.
+    realization of the product used throughout.  Closure raises
+    CapExceededError as soon as the group has more than `cap` elements.
     """
     m = _GROUP_SPEC_RE.match(spec.strip())
     if not m:
         raise UsageError(f"cannot parse group spec {spec!r}")
     if m.group("sn") is not None:
-        return symmetric_group(int(m.group("sn")))
+        return symmetric_group(int(m.group("sn")), cap)
     if m.group("an") is not None:
-        return alternating_group(int(m.group("an")))
+        return alternating_group(int(m.group("an")), cap)
     if m.group("pk") is not None:
         k, l = int(m.group("pk")), int(m.group("pl"))
     else:
         k, l = int(m.group("yk")), int(m.group("yl"))
-    g = young_two_block(k + l, k)
-    g.name = f"S{k}xS{l}"
-    return g
+    return young_two_block(k + l, k, cap, name=f"S{k}xS{l}")
 
 
 def trivial_subgroup(g: PermGroup) -> PermGroup:
@@ -616,11 +623,6 @@ def standard_inclusion(n: int) -> GroupHom:
 def fixed_last_point_copy(n: int) -> PermGroup:
     """Sym(n-1) realized inside Sym(n) as the stabilizer of the point n."""
     return young_subgroup(n, [range(1, n)])
-
-
-def unshift_iso(h: PermGroup, n: int) -> GroupHom:
-    """Isomorphism from the point-n stabilizer copy of Sym(n-1) to Sym(n-1) itself."""
-    return restrict_to_block(h, range(1, n))
 
 
 def all_homs(source: PermGroup, target: PermGroup) -> list[GroupHom]:

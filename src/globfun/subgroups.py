@@ -3,7 +3,9 @@
 Enumeration is by layered closure: every cyclic subgroup, then joins of
 already-found subgroups with cyclic ones until nothing new appears.  Every
 subgroup is generated by finitely many cyclic subgroups, so adjoining one
-cyclic generator at a time reaches all of them.
+cyclic generator at a time reaches all of them.  Each subgroup found keeps
+the generator list it was reached by, so a join is one closure of that list
+plus the new generator.
 
 The lattice keeps *every* subgroup it saw, indexed by element set, so that
 stabilizers, intersections and preimages arising later can be matched to
@@ -14,7 +16,7 @@ a condition to handle.
 from __future__ import annotations
 
 from .errors import CapExceededError, MathCheckError, NotASubgroupError
-from .perms import Perm, PermGroup, left_coset_reps
+from .perms import PermGroup, close_generators, left_coset_reps
 
 DEFAULT_MAX_LATTICE_ORDER = 1000
 
@@ -84,7 +86,6 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
         return hit
 
     degree = group.degree
-    ident = Perm.identity(degree)
 
     # layer 0: cyclic subgroups (deduplicated by element set)
     cyclics = {}
@@ -97,11 +98,11 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
         eset = frozenset(powers)
         if eset not in cyclics:
             cyclics[eset] = x
-    all_sets = {frozenset([ident])}
-    all_sets.update(cyclics.keys())
+    # every subgroup found, mapped to a generating list
+    gens_of = {cset: [cgen] for cset, cgen in cyclics.items()}
 
     # layers: join each known subgroup with each cyclic subgroup
-    frontier = set(all_sets)
+    frontier = set(gens_of)
     full = group.element_set
     while frontier:
         new = set()
@@ -111,9 +112,10 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
             for cset, cgen in cyclics.items():
                 if cset <= hset:
                     continue
-                j = _join(degree, hset, cgen, group.order)
-                if j not in all_sets:
-                    all_sets.add(j)
+                gens = gens_of[hset] + [cgen]
+                j = frozenset(close_generators(degree, gens, group.order))
+                if j not in gens_of:
+                    gens_of[j] = gens
                     new.add(j)
         frontier = new
 
@@ -121,7 +123,7 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
     gens = group.generators
     seen = set()
     raw_classes = []
-    for hset in sorted(all_sets, key=lambda s: (len(s), _canonical_subgroup_key(s))):
+    for hset in sorted(gens_of, key=lambda s: (len(s), _canonical_subgroup_key(s))):
         if hset in seen:
             continue
         orbit = {hset}
@@ -150,35 +152,6 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
     lattice = SubgroupLattice(group, tuple(classes), class_of)
     _lattice_memo[memo_key] = lattice
     return lattice
-
-
-def _join(degree, hset, extra_gen, cap):
-    """Closure of hset together with one extra generator."""
-    found = set(hset)
-    gens = [extra_gen]
-    # seed with products h * extra_gen^k by BFS over both directions
-    frontier = list(found)
-    new_elem = extra_gen
-    if new_elem not in found:
-        found.add(new_elem)
-        frontier.append(new_elem)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens:
-                y = s * x
-                if y not in found:
-                    found.add(y)
-                    nxt.append(y)
-            for s in hset:
-                y = s * x
-                if y not in found:
-                    found.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        if len(found) > cap:
-            raise MathCheckError("join escaped the ambient group")
-    return frozenset(found)
 
 
 def table_of_marks(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER):

@@ -7,12 +7,13 @@ scratch; orthogonality is checked from the definition with exact integers.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from globfun.characters import (
     ClassFunction,
     MAX_TABLE_N,
     block_structure,
-    char_table_product,
     char_table_symmetric,
     character_table,
     cycle_type_class_size,
@@ -32,6 +33,7 @@ from globfun.perms import (
     product_group,
     standard_inclusion,
     symmetric_group,
+    young_subgroup,
     young_two_block,
 )
 
@@ -126,14 +128,14 @@ def test_sum_of_squares_of_degrees():
 def test_product_table():
     a = char_table_symmetric(2)
     b = char_table_symmetric(3)
-    t = char_table_product(a, b)
+    t = character_table(product_group(a.group, b.group))
     assert t.rank == 6
     assert sorted(row[0] for row in t.matrix) == [1, 1, 1, 1, 2, 2]
     assert t.group.order == 12
 
 
 def test_product_table_degrees_exact():
-    t = char_table_product(char_table_symmetric(2), char_table_symmetric(3))
+    t = character_table(product_group(symmetric_group(2), symmetric_group(3)))
     # rows: ((2),(3)), ((2),(21)), ((2),(111)), ((11),(3)), ...
     assert [row[0] for row in t.matrix] == [1, 2, 1, 1, 2, 1]
     order = t.group.order
@@ -241,6 +243,44 @@ def test_frobenius_reciprocity():
                 lhs = inner_product(ind, chi)
                 rhs = inner_product(phi, restrict_classfunction(chi, inc))
                 assert lhs == rhs
+
+
+@st.composite
+def block_product_pair(draw):
+    """(H, K, coefficients): K is the block product of a random set partition
+    of {1..n}, n <= 6, and H that of a random refinement of it, so blocks
+    need not be runs of consecutive points; the coefficients combine H's
+    irreducibles into a virtual character."""
+    n = draw(st.integers(1, 6))
+    parts = draw(st.integers(1, 3))
+    k_labels = draw(st.lists(st.integers(0, parts - 1), min_size=n, max_size=n))
+    h_labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    k_blocks, h_blocks = {}, {}
+    for pt, a, b in zip(range(1, n + 1), k_labels, h_labels):
+        k_blocks.setdefault(a, []).append(pt)
+        h_blocks.setdefault((a, b), []).append(pt)
+    h = young_subgroup(n, h_blocks.values())
+    rank = character_table(h).rank
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=rank, max_size=rank).filter(any))
+    return h, young_subgroup(n, k_blocks.values()), coeffs
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(block_product_pair())
+def test_induction_matches_definition(pair):
+    # (ind phi)(y) = (1/|H|) sum over x in K of phi(x^-1 y x), summed by
+    # brute force over K at every class representative y of K
+    h, k, coeffs = pair
+    th = character_table(h)
+    phi = ClassFunction(th, [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*th.matrix)])
+    ind = induce_classfunction(phi, k)
+    for y, value in zip(ind.table.class_reps, ind.values):
+        total = 0
+        for x in k.elements:
+            z = x.inverse() * y * x
+            if z in h:
+                total += phi(z)
+        assert total == value * h.order
 
 
 def test_restrict_along_inner_automorphism_is_identity():

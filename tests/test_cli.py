@@ -65,6 +65,8 @@ def test_usage_errors_exit_2(capsys):
         ("decompose", "--functor", "burnside", "--n", "2", "--element", "{bad"),
         ("marks", "--group", "Q8"),
         ("dcf", "--functor", "burnside", "--n", "3", "--k", "3"),
+        ("char-table", "--n", "9"),
+        ("functor-value", "--functor", "repring", "--group", "A5"),
     ]
     for argv in cases:
         code, _, err = run(capsys, "--no-cache", *argv)
@@ -72,9 +74,17 @@ def test_usage_errors_exit_2(capsys):
         assert "error:" in err
 
 
-def test_cap_exceeded_exits_2(capsys, monkeypatch):
+def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "10")
     code, _, err = run(capsys, "--no-cache", "marks", "--group", "S4")
+    assert code == 2
+    assert "cap" in err
+    # a warm cache must not bypass the cap
+    monkeypatch.delenv("GLOBFUN_MAX_LATTICE_ORDER")
+    code, _, _ = run(capsys, "--cache-dir", str(tmp_path), "marks", "--group", "S4")
+    assert code == 0
+    monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "10")
+    code, _, err = run(capsys, "--cache-dir", str(tmp_path), "marks", "--group", "S4")
     assert code == 2
     assert "cap" in err
     monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "0")

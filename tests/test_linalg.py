@@ -18,8 +18,6 @@ from globfun.linalg import (
     mat_mul,
     mat_vec,
     reduce_mod_lattice,
-    smith_normal_form,
-    smith_or_hermite,
     solve_exact,
     transpose,
 )
@@ -157,31 +155,6 @@ def test_det_multiplicative():
         a = random_matrix(rng, n, n, 4)
         b = random_matrix(rng, n, n, 4)
         assert det_exact(mat_mul(a, b)) == det_exact(a) * det_exact(b)
-
-
-def test_smith_normal_form():
-    rng = random.Random(6)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
-        a = random_matrix(rng, rows, cols)
-        d, s, t = smith_normal_form(a)
-        assert is_unimodular(s) and is_unimodular(t)
-        assert mat_eq(mat_mul(mat_mul(s, a), t), d)
-        diag = [d[i][i] for i in range(min(rows, cols))]
-        for i in range(len(d)):
-            for j in range(len(d[0])):
-                if i != j:
-                    assert d[i][j] == 0
-        for x, y in zip(diag, diag[1:]):
-            if y:
-                assert x and y % x == 0
-            assert x >= 0 and y >= 0
-
-
-def test_smith_or_hermite_dispatch():
-    a = [[2, 4], [6, 8]]
-    assert smith_or_hermite(a)[0] == hermite_normal_form(a)[0]
-    assert smith_or_hermite(a, "smith")[0] == smith_normal_form(a)[0]
 
 
 def test_reduce_mod_lattice():

@@ -103,6 +103,15 @@ def test_parse_group_spec_minilanguage():
     assert parse_group_spec("S2xS3").order == 12
     assert parse_group_spec("Y2,2").order == 4
     assert parse_group_spec("Y2,2") == parse_group_spec("S2xS2")
+    assert parse_group_spec("S2xS3").name == "S2xS3"
+
+
+def test_parse_group_spec_cap_stops_closure():
+    with pytest.raises(CapExceededError):
+        parse_group_spec("S5", cap=100)
+    with pytest.raises(CapExceededError):
+        parse_group_spec("S3xS3", cap=35)
+    assert parse_group_spec("S5", cap=120).order == 120
 
 
 def test_young_subgroup():
