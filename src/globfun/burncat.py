@@ -50,7 +50,7 @@ class CanonicalPair:
     def label(self) -> str:
         gens = self.subgroup.generators
         body = ",".join(str(g) for g in gens) if gens else "()"
-        imgs = ",".join(str(self.hom(g)) for g in gens) if gens else "()"
+        imgs = ",".join(str(v) for v in self.hom.gen_images) if gens else "()"
         return f"(<{body}> -> {imgs})"
 
     def __repr__(self) -> str:
@@ -82,8 +82,8 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
     (skey, hkey), g, k = best
     ginv, kinv = g.inverse(), k.inverse()
     sub = conjugate_subgroup(h, g)
-    mapping = {y: k * alpha(ginv * y * g) * kinv for y in sub.elements}
-    return CanonicalPair(sub, GroupHom(sub, source, mapping), (skey, hkey))
+    images = [k * alpha(ginv * y * g) * kinv for y in sub.generators]
+    return CanonicalPair(sub, GroupHom(sub, source, images), (skey, hkey))
 
 
 def morphism_basis(source: PermGroup, target: PermGroup):
@@ -178,8 +178,8 @@ class BurnsideCatMorphism:
                     yinv = y.inverse()
                     moved = conjugate_subgroup(h, y)
                     low = beta.preimage(moved)
-                    mapping = {x: alpha(yinv * beta(x) * y) for x in low.elements}
-                    gamma = GroupHom(low, first.source, mapping)
+                    images = [alpha(yinv * beta(x) * y) for x in low.generators]
+                    gamma = GroupHom(low, first.source, images)
                     out._add(canonical_pair(low, gamma, self.target), jcoeff * hcoeff)
         return out
 
@@ -201,7 +201,7 @@ class BurnsideCatMorphism:
             out.append(
                 {
                     "subgroup_generators": gens,
-                    "hom_images": [str(pair.hom(g)) for g in pair.subgroup.generators],
+                    "hom_images": [str(v) for v in pair.hom.gen_images],
                     "coefficient": coeff,
                 }
             )
@@ -253,21 +253,20 @@ class RepresentedFunctor(GlobalFunctor):
     def _value(self, g):
         return FreeAbelian(tuple(p.label() for p in self.basis(g)))
 
+    def _composition_matrix(self, m: BurnsideCatMorphism, src, dst):
+        """The matrix of composing with m, from the basis at src to the one at dst."""
+        cols = [
+            self._coords(m.compose(self._as_morphism(src, unit)), dst)
+            for unit in _units(len(self.basis(src)))
+        ]
+        return [list(row) for row in zip(*cols)] if cols else [[] for _ in self.basis(dst)]
+
     def _res_matrix(self, alpha):
         star = BurnsideCatMorphism.restriction(alpha)
-        cols = [
-            self._coords(star.compose(self._as_morphism(alpha.target, unit)), alpha.source)
-            for unit in _units(len(self.basis(alpha.target)))
-        ]
-        return [list(row) for row in zip(*cols)] if cols else [[] for _ in self.basis(alpha.source)]
+        return self._composition_matrix(star, alpha.target, alpha.source)
 
     def _tr_matrix(self, h, g):
-        up = BurnsideCatMorphism.transfer(h, g)
-        cols = [
-            self._coords(up.compose(self._as_morphism(h, unit)), g)
-            for unit in _units(len(self.basis(h)))
-        ]
-        return [list(row) for row in zip(*cols)] if cols else [[] for _ in self.basis(g)]
+        return self._composition_matrix(BurnsideCatMorphism.transfer(h, g), h, g)
 
 
 def _units(n):

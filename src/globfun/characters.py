@@ -30,7 +30,7 @@ from functools import cache, lru_cache
 from math import factorial
 
 from .errors import NonIntegralError, NotASubgroupError, UnsupportedGroupError, UsageError
-from .perms import GroupHom, Perm, PermGroup
+from .perms import GroupHom, Perm, PermGroup, symmetric_group
 
 Partition = tuple[int, ...]
 
@@ -267,7 +267,7 @@ def _build_table(group: PermGroup, blocks) -> CharacterTable:
     )
 
 
-def character_table(group: PermGroup, max_n: int = MAX_TABLE_N) -> CharacterTable:
+def character_table(group: PermGroup) -> CharacterTable:
     """The table of any block product group, memoized by group identity."""
     key = group.key()
     hit = _table_memo.get(key)
@@ -275,19 +275,17 @@ def character_table(group: PermGroup, max_n: int = MAX_TABLE_N) -> CharacterTabl
         return hit
     blocks = block_structure(group)
     total = sum(len(b) for b in blocks if len(b) > 1)
-    if total > max_n:
-        raise UnsupportedGroupError(f"table for moved degree {total} exceeds cap {max_n}")
+    if total > MAX_TABLE_N:
+        raise UnsupportedGroupError(f"table for moved degree {total} exceeds cap {MAX_TABLE_N}")
     table = _build_table(group, blocks)
     _table_memo[key] = table
     return table
 
 
-def char_table_symmetric(n: int, max_n: int = MAX_TABLE_N) -> CharacterTable:
-    if n > max_n:
-        raise UnsupportedGroupError(f"n = {n} exceeds cap {max_n}")
-    from .perms import symmetric_group
-
-    return character_table(symmetric_group(n), max_n)
+def char_table_symmetric(n: int) -> CharacterTable:
+    if n > MAX_TABLE_N:
+        raise UnsupportedGroupError(f"n = {n} exceeds cap {MAX_TABLE_N}")
+    return character_table(symmetric_group(n))
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +347,7 @@ def induce_classfunction(phi: ClassFunction, g: PermGroup) -> ClassFunction:
 def decompose_into_irreducibles(phi: ClassFunction) -> tuple[int, ...]:
     """Multiplicities <phi, chi_i> in row order; exact, rejects non-integers."""
     table = phi.table
-    order = table.group.order
-    out = []
-    for row in table.matrix:
-        total = sum(s * a * b for s, a, b in zip(table.class_sizes, phi.values, row))
-        if total % order:
-            raise NonIntegralError("inner product is not an integer")
-        out.append(total // order)
-    return tuple(out)
+    return tuple(inner_product(phi, table.irreducible(i)) for i in range(table.rank))
 
 
 def inner_product(phi: ClassFunction, psi: ClassFunction) -> int:

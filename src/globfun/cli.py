@@ -65,6 +65,21 @@ def _group(config: Config, spec: str):
     return parse_group_spec(spec, cap=config.max_group_order)
 
 
+def _check_order(config: Config, n: int, lattice: bool, alternating: bool = False):
+    """Refuse before any work when Sym(n), or Alt(n), passes the group cap, or
+    the lattice cap for commands that build lattices.  The order grows one
+    factor at a time and stops at the first cap it passes."""
+    caps = {"group order": config.max_group_order}
+    if lattice:
+        caps["subgroup lattice order"] = config.max_lattice_order
+    order = 1
+    for k in range(3 if alternating else 2, n + 1):
+        order *= k
+        for what, cap in caps.items():
+            if order > cap:
+                raise CapExceededError(what, cap)
+
+
 def _functor(config: Config, name: str):
     if name == "burnside":
         return BurnsideFunctor(lattice_cap=config.max_lattice_order)
@@ -116,24 +131,28 @@ def _cmd_functor_value(config, cache, args):
 
 
 def _cmd_verify_axioms(config, cache, args):
+    _check_order(config, args.max_n, args.functor == "burnside")
     f = _functor(config, args.functor)
     report = verify_axioms(f, standard_probe(args.max_n))
     return report.to_dict(), report.summary_lines(), report.all_passed
 
 
 def _cmd_dcf(config, cache, args):
+    _check_order(config, args.n, args.functor == "burnside")
     f = _functor(config, args.functor)
     check = verify_dcf_symmetric(f, args.k, args.n)
     return check.to_dict(), [check.summary()], check.passed
 
 
 def _cmd_split(config, cache, args):
+    _check_order(config, args.n, args.functor == "burnside")
     f = _functor(config, args.functor)
     report = splitting_report(f, args.n)
     return report.to_dict(), report.summary_lines(), True
 
 
 def _cmd_decompose(config, cache, args):
+    _check_order(config, args.n, args.functor == "burnside")
     f = _functor(config, args.functor)
     rank = f.value(_group(config, f"S{args.n}")).rank
     if args.element is not None:
@@ -165,11 +184,12 @@ def _cmd_decompose(config, cache, args):
 
 
 def _cmd_section(config, cache, args):
+    _check_order(config, args.n, True)
+    g = _group(config, args.with_product_group) if args.with_product_group else None
     report = section_of_restriction(args.n)
     payload = report.to_dict()
     lines = report.summary_lines()
-    if args.with_product_group:
-        g = _group(config, args.with_product_group)
+    if g is not None:
         prod = product_section(g, args.n)
         payload["product"] = prod.to_dict()
         lines += prod.summary_lines()
@@ -189,6 +209,7 @@ def _cmd_fusion(config, cache, args):
         raise UsageError(f"bad --n-range {args.n_range!r}, expected like 5..8")
     if lo > hi:
         raise UsageError("empty --n-range")
+    _check_order(config, hi, False, alternating=True)
     payload = {"family": args.family, "reports": []}
     lines = []
     for n in range(lo, hi + 1):

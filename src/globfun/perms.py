@@ -16,7 +16,7 @@ Conventions, fixed once and used everywhere:
 from __future__ import annotations
 
 import re
-from functools import reduce
+from math import lcm
 
 from .errors import (
     CapExceededError,
@@ -469,76 +469,69 @@ def trivial_subgroup(g: PermGroup) -> PermGroup:
 
 
 class GroupHom:
-    """A homomorphism between enumerated groups, stored as a total map."""
+    """A homomorphism between enumerated groups, given by generator images.
 
-    __slots__ = ("source", "target", "mapping", "_gen_images")
+    The constructor extends the images over the Cayley graph of the source
+    in one breadth-first pass.  Every edge x -> g x is checked against
+    f(g x) = f(g) f(x), which forces full multiplicativity by induction on
+    word length, so that pass is also the homomorphism check.  The total map
+    is kept: restriction matrices, images and preimages all read it.
+    """
 
-    def __init__(self, source: PermGroup, target: PermGroup, mapping: dict):
+    __slots__ = ("source", "target", "gen_images", "mapping")
+
+    def __init__(self, source: PermGroup, target: PermGroup, images):
+        gens = source.generators
+        if len(images) != len(gens):
+            raise UsageError("one image per generator required")
+        for v in images:
+            if v not in target:
+                raise NotAHomomorphismError(f"image {v} outside target")
+        # filled in place, so the keys stay the source's own element objects
+        mapping = dict.fromkeys(source.elements)
+        ident = source.identity
+        mapping[ident] = target.identity
+        queue = [ident]
+        for x in queue:  # grows while it is read: breadth-first order
+            fx = mapping[x]
+            for g, fg in zip(gens, images):
+                y = g * x
+                fy = fg * fx
+                old = mapping[y]
+                if old is None:
+                    mapping[y] = fy
+                    queue.append(y)
+                elif old != fy:
+                    raise NotAHomomorphismError(f"fails at {g} * {x}")
         self.source = source
         self.target = target
+        self.gen_images = tuple(images)
         self.mapping = mapping
-        self._gen_images = tuple(mapping[g] for g in source.generators)
-        self._check()
-
-    def _check(self):
-        if len(self.mapping) != self.source.order:
-            raise NotAHomomorphismError("mapping is not total")
-        tset = self.target.element_set
-        for v in self.mapping.values():
-            if v not in tset:
-                raise NotAHomomorphismError(f"image {v} outside target")
-        # f(g x) = f(g) f(x) for generators g and all x forces the full
-        # multiplicativity by induction on word length.
-        for g in self.source.generators:
-            fg = self.mapping[g]
-            for x in self.source.elements:
-                if self.mapping[g * x] != fg * self.mapping[x]:
-                    raise NotAHomomorphismError(f"fails at {g} * {x}")
 
     @staticmethod
-    def from_callable(source, target, fn, name="") -> "GroupHom":
-        return GroupHom(source, target, {x: fn(x) for x in source.elements})
-
-    @staticmethod
-    def from_gen_images(source, target, images) -> "GroupHom":
-        """Extend generator images multiplicatively; None if inconsistent."""
-        images = list(images)
-        if len(images) != len(source.generators):
-            raise UsageError("one image per generator required")
-        ident = source.identity
-        mapping = {ident: target.identity}
-        frontier = [ident]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                fx = mapping[x]
-                for g, fg in zip(source.generators, images):
-                    y = g * x
-                    fy = fg * fx
-                    old = mapping.get(y)
-                    if old is None:
-                        mapping[y] = fy
-                        nxt.append(y)
-                    elif old != fy:
-                        return None
-            frontier = nxt
-        return GroupHom(source, target, mapping)
+    def from_callable(source, target, fn) -> "GroupHom":
+        """The homomorphism that fn is, checked against fn on every element."""
+        hom = GroupHom(source, target, [fn(g) for g in source.generators])
+        for x, fx in hom.mapping.items():
+            if fn(x) != fx:
+                raise NotAHomomorphismError(f"not a homomorphism at {x}")
+        return hom
 
     @staticmethod
     def identity(g: PermGroup) -> "GroupHom":
-        return GroupHom(g, g, {x: x for x in g.elements})
+        return GroupHom(g, g, g.generators)
 
     @staticmethod
     def inclusion(h: PermGroup, g: PermGroup) -> "GroupHom":
         if not h <= g:
             raise NotASubgroupError(f"{h} is not a subgroup of {g}")
-        return GroupHom(h, g, {x: x for x in h.elements})
+        return GroupHom(h, g, h.generators)
 
     @staticmethod
     def conjugation(source, target, g: Perm) -> "GroupHom":
         """x |-> g x g^-1 from source into target."""
         ginv = g.inverse()
-        return GroupHom(source, target, {x: g * x * ginv for x in source.elements})
+        return GroupHom(source, target, [g * x * ginv for x in source.generators])
 
     def __call__(self, x: Perm) -> Perm:
         return self.mapping[x]
@@ -547,9 +540,7 @@ class GroupHom:
         """self o inner."""
         if inner.target.key() != self.source.key():
             raise UsageError("homs not composable")
-        return GroupHom(
-            inner.source, self.target, {x: self.mapping[y] for x, y in inner.mapping.items()}
-        )
+        return GroupHom(inner.source, self.target, [self.mapping[y] for y in inner.gen_images])
 
     def image(self) -> PermGroup:
         return PermGroup.from_elements(self.target.degree, set(self.mapping.values()))
@@ -572,7 +563,7 @@ class GroupHom:
             self.source.key(),
             self.target.key(),
             tuple(g.images for g in self.source.generators),
-            tuple(v.images for v in self._gen_images),
+            tuple(v.images for v in self.gen_images),
         )
 
     def __repr__(self) -> str:
@@ -611,8 +602,6 @@ def standard_inclusion(n: int) -> GroupHom:
         raise UsageError("n must be >= 1")
     src = symmetric_group(n - 1)
     tgt = symmetric_group(n)
-    if n == 1:
-        return GroupHom.identity(src)
 
     def extend(p: Perm) -> Perm:
         return Perm(p.images + tuple(range(p.degree + 1, n + 1)))
@@ -631,8 +620,6 @@ def all_homs(source: PermGroup, target: PermGroup) -> list[GroupHom]:
     Sorted by the tuple of generator images, so the order is deterministic.
     """
     gens = source.generators
-    if not gens:
-        return [GroupHom(source, target, {source.identity: target.identity})]
     out = []
     stack = [[]]
     # depth-first over image tuples, pruned by element-order divisibility
@@ -641,25 +628,20 @@ def all_homs(source: PermGroup, target: PermGroup) -> list[GroupHom]:
         partial = stack.pop()
         i = len(partial)
         if i == len(gens):
-            hom = GroupHom.from_gen_images(source, target, partial)
-            if hom is not None:
-                out.append(hom)
+            try:
+                out.append(GroupHom(source, target, partial))
+            except NotAHomomorphismError:
+                pass
             continue
         for cand in reversed(target.elements):
             if orders[i] % _element_order(cand) == 0:
                 stack.append(partial + [cand])
-    out.sort(key=lambda h: tuple(v.images for v in h._gen_images))
+    out.sort(key=lambda h: tuple(v.images for v in h.gen_images))
     return out
 
 
 def _element_order(p: Perm) -> int:
-    return reduce(_lcm, (len(c) for c in p.cycles()), 1)
-
-
-def _lcm(a: int, b: int) -> int:
-    from math import gcd
-
-    return a * b // gcd(a, b)
+    return lcm(*(len(c) for c in p.cycles()))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ failure to be integral would signal a bug, not a data condition.
 """
 
 from .characters import (
-    MAX_TABLE_N,
     character_table,
     decompose_into_irreducibles,
     induce_classfunction,
@@ -20,18 +19,11 @@ from .functors import FreeAbelian, GlobalFunctor
 class RepRingFunctor(GlobalFunctor):
     name = "ru"
 
-    def __init__(self, max_n: int = MAX_TABLE_N):
-        super().__init__()
-        self._max_n = max_n
-
-    def _table(self, g):
-        return character_table(g, self._max_n)
-
     def _value(self, g) -> FreeAbelian:
-        return FreeAbelian(self._table(g).labels)
+        return FreeAbelian(character_table(g).labels)
 
     def _res_matrix(self, alpha):
-        tg = self._table(alpha.target)
+        tg = character_table(alpha.target)
         cols = [
             decompose_into_irreducibles(restrict_classfunction(tg.irreducible(j), alpha))
             for j in range(tg.rank)
@@ -39,7 +31,7 @@ class RepRingFunctor(GlobalFunctor):
         return list(map(list, zip(*cols)))
 
     def _tr_matrix(self, h, g):
-        th = self._table(h)
+        th = character_table(h)
         cols = [
             decompose_into_irreducibles(induce_classfunction(th.irreducible(j), g))
             for j in range(th.rank)

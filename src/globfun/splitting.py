@@ -291,23 +291,10 @@ class AlternatingFusionReport:
         self.pairs = list(pairs)
         self.class_count = class_count
         # rank of the constant-on-fused-classes sublattice: one generator per
-        # group of classes glued together by the pairs
-        parent = {}
-
-        def root(a):
-            parent.setdefault(a, a)
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        merged = 0
-        for a, b in self.pairs:
-            ra, rb = root(a), root(b)
-            if ra != rb:
-                parent[ra] = rb
-                merged += 1
-        self.merged_rank = class_count - merged
+        # group of classes glued together by the pairs.  fused_pairs lists
+        # every pair inside each fused group, so each group of m classes
+        # shows exactly its m - 1 non-least members as second entries.
+        self.merged_rank = class_count - len({b for _, b in self.pairs})
 
     @property
     def restriction_surjective(self) -> bool:

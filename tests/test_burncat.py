@@ -94,8 +94,8 @@ def test_canonical_pair_invariance():
             k = rng.choice(S[2].elements)
             moved = conjugate_subgroup(pair.subgroup, g)
             ginv, kinv = g.inverse(), k.inverse()
-            mapping = {x: k * pair.hom(ginv * x * g) * kinv for x in moved.elements}
-            beta = GroupHom(moved, S[2], mapping)
+            images = [k * pair.hom(ginv * x * g) * kinv for x in moved.generators]
+            beta = GroupHom(moved, S[2], images)
             assert canonical_pair(moved, beta, big).key == pair.key
 
 

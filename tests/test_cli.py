@@ -1,6 +1,8 @@
 """End-to-end command tests, run in process through main()."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -90,6 +92,39 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "0")
     code, _, err = run(capsys, "--no-cache", "marks", "--group", "S2")
     assert code == 2
+    monkeypatch.delenv("GLOBFUN_MAX_LATTICE_ORDER")
+    # groups a command builds itself meet the caps before any work starts
+    for env, argv, marker in [
+        ({"GLOBFUN_MAX_GROUP_ORDER": "100"}, ("split", "--functor", "repring", "--n", "6"),
+         "cap 100"),
+        ({"GLOBFUN_MAX_GROUP_ORDER": "100"},
+         ("fusion", "--family", "alternating", "--n-range", "5..6"), "cap 100"),
+        ({"GLOBFUN_MAX_LATTICE_ORDER": "10"}, ("section", "--n", "4"), "cap 10"),
+        ({"GLOBFUN_MAX_GROUP_ORDER": "60000"}, ("split", "--functor", "repring", "--n", "9"),
+         "cap 60000"),
+        ({}, ("verify-axioms", "--functor", "repring", "--max-n", "1000000"), "cap 50000"),
+        ({}, ("fusion", "--family", "alternating", "--n-range", "5..1000000"), "cap 50000"),
+    ]:
+        with monkeypatch.context() as m:
+            for name, value in env.items():
+                m.setenv(name, value)
+            code, out, err = run(capsys, "--no-cache", *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error:") and marker in err, argv
+
+
+ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"
+
+
+def test_json_matches_benchmark_oracle(capsys):
+    """The canonical JSON of the benchmark's fixed commands, byte for byte."""
+    oracle = json.loads(ORACLE.read_text())
+    assert len(oracle) == 9
+    for command, digest in sorted(oracle.items()):
+        code, out, err = run(capsys, "--no-cache", "--output", "json", *command.split())
+        assert code == 0, (command, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def test_math_failure_exits_1(capsys, monkeypatch):

@@ -10,7 +10,12 @@ from math import factorial
 
 import pytest
 
-from globfun.errors import CapExceededError, InvalidPermutationError
+from globfun.errors import (
+    CapExceededError,
+    InvalidPermutationError,
+    NotAHomomorphismError,
+    UsageError,
+)
 from globfun.perms import (
     GroupHom,
     Perm,
@@ -235,11 +240,48 @@ def test_conjugate_and_intersection():
 
 def test_group_hom_validation():
     s2, s3 = symmetric_group(2), symmetric_group(3)
-    inc = GroupHom.from_gen_images(s2, s3, [Perm.parse("(1 2)", 3)])
-    assert inc is not None
+    inc = GroupHom(s2, s3, [Perm.parse("(1 2)", 3)])
     assert inc(Perm.parse("(1 2)", 2)) == Perm.parse("(1 2)", 3)
+    assert inc.gen_images == (Perm.parse("(1 2)", 3),)
+    assert len(inc.mapping) == s2.order
+    # the map is keyed by the source's own element objects
+    assert all(any(k is x for x in s2.elements) for k in inc.mapping)
+
+
+def _s2_to_s3_by_3_cycle():
     # (1 2 3) has order 3, no homomorphic image of an involution
-    assert GroupHom.from_gen_images(s2, s3, [Perm.parse("(1 2 3)", 3)]) is None
+    return GroupHom(symmetric_group(2), symmetric_group(3), [Perm.parse("(1 2 3)", 3)])
+
+
+def _image_outside_target():
+    s3 = symmetric_group(3)
+    return GroupHom(s3, young_two_block(3, 2), list(s3.generators))
+
+
+def _wrong_image_count():
+    return GroupHom(symmetric_group(3), symmetric_group(3), [Perm.identity(3)])
+
+
+def _callable_not_a_hom():
+    # agrees with the identity map on the generators and e, sends the rest to e
+    s3 = symmetric_group(3)
+    gens = set(s3.generators) | {s3.identity}
+    return GroupHom.from_callable(s3, s3, lambda x: x if x in gens else s3.identity)
+
+
+@pytest.mark.parametrize(
+    "build,error",
+    [
+        (_s2_to_s3_by_3_cycle, NotAHomomorphismError),
+        (_image_outside_target, NotAHomomorphismError),
+        (_wrong_image_count, UsageError),
+        (_callable_not_a_hom, NotAHomomorphismError),
+    ],
+    ids=["inconsistent-images", "image-outside-target", "wrong-image-count", "callable"],
+)
+def test_group_hom_rejects(build, error):
+    with pytest.raises(error):
+        build()
 
 
 def test_standard_inclusion():
