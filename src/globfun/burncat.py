@@ -34,7 +34,7 @@ from .perms import (
     symmetric_group,
     all_homs,
 )
-from .subgroups import subgroup_classes
+from .subgroups import DEFAULT_MAX_LATTICE_ORDER, subgroup_classes
 
 
 class CanonicalPair:
@@ -377,7 +377,9 @@ def _split_product_point(p: Perm, d: int):
     return left, right
 
 
-def product_section(g: PermGroup, n: int) -> "ProductSectionReport":
+def product_section(
+    g: PermGroup, n: int, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER
+) -> "ProductSectionReport":
     """Pair every term of a section with the extra factor and verify it.
 
     Builds sigma for i_n, forms the morphism from G x Sym(n-1) to G x Sym(n)
@@ -414,7 +416,7 @@ def product_section(g: PermGroup, n: int) -> "ProductSectionReport":
         alpha = GroupHom.from_callable(sub, big_prev, mapped)
         paired._add(canonical_pair(sub, alpha, big_cur), coeff)
 
-    burnside = BurnsideFunctor()
+    burnside = BurnsideFunctor(lattice_cap)
     act = paired.action_on(burnside)
     composite = burnside.res(big_inc).compose(act)
     ok = composite.is_identity()

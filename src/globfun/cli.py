@@ -65,15 +65,18 @@ def _group(config: Config, spec: str):
     return parse_group_spec(spec, cap=config.max_group_order)
 
 
-def _check_order(config: Config, n: int, lattice: bool, alternating: bool = False):
-    """Refuse before any work when Sym(n), or Alt(n), passes the group cap, or
-    the lattice cap for commands that build lattices.  The order grows one
-    factor at a time and stops at the first cap it passes."""
+def _check_order(
+    config: Config, n: int, lattice: bool, alternating: bool = False, factor: int = 1
+):
+    """Refuse before any work when Sym(n), or Alt(n), times a group of order
+    `factor` passes the group cap, or the lattice cap for commands that build
+    lattices.  The order grows one factor at a time, starting with `factor`,
+    and stops at the first cap it passes."""
     caps = {"group order": config.max_group_order}
     if lattice:
         caps["subgroup lattice order"] = config.max_lattice_order
     order = 1
-    for k in range(3 if alternating else 2, n + 1):
+    for k in (factor, *range(3 if alternating else 2, n + 1)):
         order *= k
         for what, cap in caps.items():
             if order > cap:
@@ -184,13 +187,13 @@ def _cmd_decompose(config, cache, args):
 
 
 def _cmd_section(config, cache, args):
-    _check_order(config, args.n, True)
     g = _group(config, args.with_product_group) if args.with_product_group else None
+    _check_order(config, args.n, True, factor=g.order if g is not None else 1)
     report = section_of_restriction(args.n)
     payload = report.to_dict()
     lines = report.summary_lines()
     if g is not None:
-        prod = product_section(g, args.n)
+        prod = product_section(g, args.n, lattice_cap=config.max_lattice_order)
         payload["product"] = prod.to_dict()
         lines += prod.summary_lines()
     return payload, lines, True

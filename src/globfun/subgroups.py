@@ -1,22 +1,27 @@
 """Subgroup lattices of small groups, up to conjugacy.
 
-Enumeration is by layered closure: every cyclic subgroup, then joins of
-already-found subgroups with cyclic ones until nothing new appears.  Every
-subgroup is generated by finitely many cyclic subgroups, so adjoining one
-cyclic generator at a time reaches all of them.  Each subgroup found keeps
-the generator list it was reached by, so a join is one closure of that list
-plus the new generator.
+Enumeration is by cyclic extension of class representatives (Neubüser
+1960; Pfeiffer, Exp. Math. 6, 1997).  It starts from the conjugacy classes
+of cyclic subgroups and extends one member H of each class found: for each
+orbit of the normalizer N_G(H) on the cyclic subgroups not in H, one <c>
+from that orbit gives the join <H, c>.  That suffices because
+<H, c^n> = <H, c>^n for n in N_G(H), and every non-cyclic subgroup K is
+<M, c> for a maximal subgroup M of K and any c in K outside M.  A join is
+built one coset of H at a time from H's element list (Dimino), not closed
+again from the identity.
 
-The lattice keeps *every* subgroup it saw, indexed by element set, so that
-stabilizers, intersections and preimages arising later can be matched to
-their conjugacy class by a dictionary lookup.  A failed lookup is a bug, not
-a condition to handle.
+A join whose element set is new starts a class; its conjugacy orbit is
+computed once, then, by conjugating with the generators of the group.  The
+lattice keeps *every* subgroup of every orbit, indexed by element set, so
+that stabilizers, intersections and preimages arising later can be matched
+to their conjugacy class by a dictionary lookup.  A failed lookup is a bug,
+not a condition to handle.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceededError, MathCheckError, NotASubgroupError
-from .perms import PermGroup, close_generators, left_coset_reps
+from .perms import Perm, PermGroup, left_coset_reps
 
 DEFAULT_MAX_LATTICE_ORDER = 1000
 
@@ -75,6 +80,59 @@ def _canonical_subgroup_key(eset):
     return tuple(sorted(p.images for p in eset))
 
 
+def _cyclic_subgroups(group):
+    """Cyclic subgroups as (element set, least generator) pairs, and a map
+    from each element to the index of the subgroup it generates."""
+    cyclics = []
+    index_of = {}
+    cyclic_of = {}
+    for x in group.elements:
+        powers = [x]
+        y = x
+        while not y.is_identity():
+            y = y * x
+            powers.append(y)
+        eset = frozenset(powers)
+        if eset not in index_of:
+            index_of[eset] = len(cyclics)
+            cyclics.append((eset, x))
+        cyclic_of[x] = index_of[eset]
+    return cyclics, cyclic_of
+
+
+def _extend(hset, gens):
+    """Element set of <gens>, given the element set of the subgroup H
+    generated by all of `gens` but the last (Dimino's algorithm).
+
+    The join is built one right coset H x at a time: a coset representative
+    times a generator that lands outside the known elements brings in a
+    whole new coset.
+    """
+    found = set(hset)
+    reps = [Perm.identity(gens[0].degree)]
+    for x in reps:  # reps grows while it is read
+        for s in gens:
+            y = x * s
+            if y not in found:
+                found.update(h * y for h in hset)
+                reps.append(y)
+    return frozenset(found)
+
+
+def _conjugacy_orbit(eset, gens):
+    """All conjugates of a subgroup, by conjugation with (g, g^-1) pairs."""
+    orbit = {eset}
+    stack = [eset]
+    while stack:
+        cur = stack.pop()
+        for g, ginv in gens:
+            img = frozenset(g * x * ginv for x in cur)
+            if img not in orbit:
+                orbit.add(img)
+                stack.append(img)
+    return orbit
+
+
 def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> SubgroupLattice:
     """The subgroup lattice of `group`, conjugacy classes sorted by order
     then by a canonical key of the representative."""
@@ -86,60 +144,41 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
         return hit
 
     degree = group.degree
+    gens = [(g, g.inverse()) for g in group.generators]
+    known = set()  # every subgroup found so far, as an element set
+    orbits = []  # each class found, as the set of its members, in discovery order
+    queue = []  # (element set, generator list) of one member per class
 
-    # layer 0: cyclic subgroups (deduplicated by element set)
-    cyclics = {}
-    for x in group.elements:
-        powers = [x]
-        y = x
-        while not y.is_identity():
-            y = y * x
-            powers.append(y)
-        eset = frozenset(powers)
-        if eset not in cyclics:
-            cyclics[eset] = x
-    # every subgroup found, mapped to a generating list
-    gens_of = {cset: [cgen] for cset, cgen in cyclics.items()}
+    def add_class(eset, sgens):
+        orbit = _conjugacy_orbit(eset, gens)
+        known.update(orbit)
+        orbits.append(orbit)
+        queue.append((eset, sgens))
 
-    # layers: join each known subgroup with each cyclic subgroup
-    frontier = set(gens_of)
-    full = group.element_set
-    while frontier:
-        new = set()
-        for hset in frontier:
-            if hset == full:
+    cyclics, cyclic_of = _cyclic_subgroups(group)
+    for eset, c in cyclics:
+        if eset not in known:
+            add_class(eset, [c])
+
+    inverse = {x: x.inverse() for x in group.elements}
+    for hset, hgens in queue:  # the queue grows while it is read
+        normalizer = [
+            (g, inverse[g])
+            for g in group.elements
+            if all(g * h * inverse[g] in hset for h in hgens)
+        ]
+        done = set()
+        for k, (_, c) in enumerate(cyclics):
+            if k in done or c in hset:
                 continue
-            for cset, cgen in cyclics.items():
-                if cset <= hset:
-                    continue
-                gens = gens_of[hset] + [cgen]
-                j = frozenset(close_generators(degree, gens, group.order))
-                if j not in gens_of:
-                    gens_of[j] = gens
-                    new.add(j)
-        frontier = new
+            # one cyclic subgroup per N(H)-orbit: <H, c^n> = <H, c>^n
+            done.update(cyclic_of[n * c * ninv] for n, ninv in normalizer)
+            jgens = hgens + [c]
+            jset = _extend(hset, jgens)
+            if jset not in known:
+                add_class(jset, jgens)
 
-    # conjugacy classes of subgroups, orbit by generator conjugation
-    gens = group.generators
-    seen = set()
-    raw_classes = []
-    for hset in sorted(gens_of, key=lambda s: (len(s), _canonical_subgroup_key(s))):
-        if hset in seen:
-            continue
-        orbit = {hset}
-        stack = [hset]
-        while stack:
-            cur = stack.pop()
-            for g in gens:
-                ginv = g.inverse()
-                img = frozenset(g * x * ginv for x in cur)
-                if img not in orbit:
-                    orbit.add(img)
-                    stack.append(img)
-        seen |= orbit
-        rep = min(orbit, key=_canonical_subgroup_key)
-        raw_classes.append((rep, orbit))
-
+    raw_classes = [(min(orbit, key=_canonical_subgroup_key), orbit) for orbit in orbits]
     raw_classes.sort(key=lambda t: (len(t[0]), _canonical_subgroup_key(t[0])))
     classes = []
     class_of = {}

@@ -100,6 +100,8 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
         ({"GLOBFUN_MAX_GROUP_ORDER": "100"},
          ("fusion", "--family", "alternating", "--n-range", "5..6"), "cap 100"),
         ({"GLOBFUN_MAX_LATTICE_ORDER": "10"}, ("section", "--n", "4"), "cap 10"),
+        ({"GLOBFUN_MAX_LATTICE_ORDER": "30"},
+         ("section", "--n", "4", "--with-product-group", "S2"), "cap 30"),
         ({"GLOBFUN_MAX_GROUP_ORDER": "60000"}, ("split", "--functor", "repring", "--n", "9"),
          "cap 60000"),
         ({}, ("verify-axioms", "--functor", "repring", "--max-n", "1000000"), "cap 50000"),

@@ -93,6 +93,15 @@ def test_splitting_report_burnside():
         assert sum(ranks) == A.value(symmetric_group(n)).rank
 
 
+def test_splitting_report_burnside_s6():
+    # component ranks are c(S_k) - c(S_{k-1}) for the numbers c of subgroup
+    # classes of Sym(0..6) (OEIS A000638): [1, 0, 1, 2, 7, 8, 37]
+    c = [1, 1, 2, 4, 11, 19, 56]
+    rep = splitting_report(BurnsideFunctor(), 6)
+    assert abs(rep.determinant) == 1
+    assert list(rep.component_ranks) == [1] + [b - a for a, b in zip(c, c[1:])]
+
+
 def test_splitting_report_repring():
     R = RepRingFunctor()
     for n in range(6):

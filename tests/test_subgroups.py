@@ -2,7 +2,9 @@
 
 Class counts were frozen from an independent brute-force enumeration with
 raw image tuples (2, 4, 11, 19 classes for Sym(2..5); 156 subgroups of
-Sym(5) in total).
+Sym(5) in total).  Alt(6) and Sym(6) are checked against the known counts
+of subgroup classes and subgroups (OEIS A000638 and A005432), and the
+smaller groups class by class against the all-subgroups enumeration below.
 """
 
 import random
@@ -14,12 +16,81 @@ from globfun.perms import (
     PermGroup,
     Perm,
     alternating_group,
+    close_generators,
     conjugate_subgroup,
+    product_group,
     symmetric_group,
     weyl_order,
     young_two_block,
 )
 from globfun.subgroups import subgroup_classes, table_of_marks
+
+
+def brute_force_classes(group):
+    """Conjugacy classes of subgroups as (representative, orbit) pairs in
+    lattice order, found by joining *every* subgroup with every cyclic
+    subgroup, layer by layer, until nothing new appears."""
+
+    def key(eset):
+        return tuple(sorted(p.images for p in eset))
+
+    degree = group.degree
+    cyclics = {}
+    for x in group.elements:
+        cyclics.setdefault(frozenset(close_generators(degree, [x])), x)
+    gens_of = {cset: [cgen] for cset, cgen in cyclics.items()}
+    frontier = set(gens_of)
+    while frontier:
+        new = set()
+        for hset in frontier:
+            for cset, cgen in cyclics.items():
+                if cset <= hset:
+                    continue
+                gens = gens_of[hset] + [cgen]
+                j = frozenset(close_generators(degree, gens))
+                if j not in gens_of:
+                    gens_of[j] = gens
+                    new.add(j)
+        frontier = new
+    seen = set()
+    classes = []
+    for hset in gens_of:
+        if hset in seen:
+            continue
+        orbit = {frozenset(g * x * g.inverse() for x in hset) for g in group.elements}
+        seen |= orbit
+        classes.append((min(orbit, key=key), orbit))
+    classes.sort(key=lambda t: (len(t[0]), key(t[0])))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: symmetric_group(3),
+        lambda: symmetric_group(4),
+        lambda: alternating_group(4),
+        lambda: young_two_block(5, 2),
+        lambda: product_group(symmetric_group(4), symmetric_group(2)),
+        lambda: alternating_group(5),
+    ],
+    ids=["S3", "S4", "A4", "Y5,2", "S4xS2", "A5"],
+)
+def test_lattice_matches_brute_force(make):
+    group = make()
+    lat = subgroup_classes(group)
+    want = brute_force_classes(group)
+    assert len(lat.classes) == len(want)
+    class_of = {}
+    for cls, (rep, orbit) in zip(lat.classes, want):
+        expect = PermGroup.from_elements(group.degree, rep)
+        assert cls.representative.elements == expect.elements
+        assert cls.representative.generators == expect.generators
+        body = ",".join(str(g) for g in expect.generators) or "()"
+        assert cls.label() == f"<{body}>"
+        assert cls.class_size == len(orbit)
+        class_of.update(dict.fromkeys(orbit, cls.index))
+    assert lat._class_of == class_of
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 19)])
@@ -50,15 +121,39 @@ def test_class_of_lookup():
             assert lat.class_of(conjugate_subgroup(c.representative, t)) == c.index
 
 
-def test_random_generated_subgroups_are_found():
+def _check_random_subgroups(n, draws):
     rng = random.Random(0)
-    g = symmetric_group(5)
+    g = symmetric_group(n)
     lat = subgroup_classes(g)
-    for _ in range(30):
+    for _ in range(draws):
         seeds = rng.sample(g.elements, rng.choice([1, 2]))
-        h = PermGroup(5, seeds)
+        h = PermGroup(n, seeds)
         idx = lat.class_of(h)
         assert lat.classes[idx].order == h.order
+
+
+def test_random_generated_subgroups_are_found():
+    _check_random_subgroups(5, 30)
+
+
+def test_random_generated_subgroups_are_found_s6():
+    _check_random_subgroups(6, 30)
+
+
+def test_lattice_a6():
+    lat = subgroup_classes(alternating_group(6))
+    assert len(lat.classes) == 22
+    assert sum(c.class_size for c in lat.classes) == 501
+    assert len(lat._class_of) == 501
+
+
+def test_lattice_s6():
+    lat = subgroup_classes(symmetric_group(6))
+    assert len(lat.classes) == 56
+    assert sum(c.class_size for c in lat.classes) == 1455
+    assert len(lat._class_of) == 1455
+    orders = [c.order for c in lat.classes]
+    assert orders == sorted(orders) and orders[0] == 1 and orders[-1] == 720
 
 
 def test_alternating_lattice():
