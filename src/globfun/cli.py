@@ -18,7 +18,7 @@ from .cache import Cache
 from .characters import char_table_symmetric
 from .errors import CapExceededError, GlobfunError, MathCheckError, NonIntegralError, UsageError
 from .functors import standard_probe, verify_axioms
-from .perms import parse_group_spec
+from .perms import parse_group_spec, symmetric_group
 from .repring import RepRingFunctor
 from .splitting import (
     decompose,
@@ -157,7 +157,7 @@ def _cmd_split(config, cache, args):
 def _cmd_decompose(config, cache, args):
     _check_order(config, args.n, args.functor == "burnside")
     f = _functor(config, args.functor)
-    rank = f.value(_group(config, f"S{args.n}")).rank
+    rank = f.value(symmetric_group(args.n, config.max_group_order)).rank
     if args.element is not None:
         try:
             x = json.loads(args.element)

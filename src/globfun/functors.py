@@ -134,8 +134,9 @@ class GlobalFunctor:
 
     Subclasses provide _value(G) -> FreeAbelian, _res_matrix(alpha) and
     _tr_matrix(H, G) returning raw integer matrices.  This class owns the
-    memo tables (keyed by canonical group and homomorphism descriptions),
-    shape checks, and the subgroup precondition on transfers.
+    memo tables (keyed by canonical group and homomorphism descriptions, and
+    for the splitting layer's kernel bases and psi maps by level), shape
+    checks, and the subgroup precondition on transfers.
     """
 
     name = "functor"
@@ -144,6 +145,9 @@ class GlobalFunctor:
         self._value_memo = {}
         self._res_memo = {}
         self._tr_memo = {}
+        # filled by splitting.kernel_basis and splitting.psi
+        self._kernel_memo = {}
+        self._psi_memo = {}
 
     def value(self, g: PermGroup) -> FreeAbelian:
         k = g.key()

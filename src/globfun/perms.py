@@ -46,6 +46,15 @@ class Perm:
         self._hash = hash(images)
 
     @staticmethod
+    def _from_images(images: tuple) -> "Perm":
+        """A Perm on an image tuple already known to be a bijection."""
+        out = Perm.__new__(Perm)
+        out.degree = len(images)
+        out.images = images
+        out._hash = hash(images)
+        return out
+
+    @staticmethod
     def identity(degree: int) -> "Perm":
         return Perm(range(1, degree + 1))
 
@@ -98,11 +107,7 @@ class Perm:
         inv = [0] * self.degree
         for i, j in enumerate(self.images):
             inv[j - 1] = i + 1
-        out = Perm.__new__(Perm)
-        out.degree = self.degree
-        out.images = tuple(inv)
-        out._hash = hash(out.images)
-        return out
+        return Perm._from_images(tuple(inv))
 
     def conj(self, g: "Perm") -> "Perm":
         """g * self * g^-1."""
@@ -169,21 +174,24 @@ def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
     for g in gens:
         if g.degree != degree:
             raise UsageError(f"generator degree {g.degree} != {degree}")
-    ident = Perm.identity(degree)
+    # the search runs on plain image tuples: tuple(map(lift, x)) is the
+    # images of g * x, where lift reads g's images 1-based
+    lifts = [((0,) + g.images).__getitem__ for g in gens]
+    ident = tuple(range(1, degree + 1))
     found = {ident}
     frontier = [ident]
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
-                y = g * x
+            for lift in lifts:
+                y = tuple(map(lift, x))
                 if y not in found:
                     found.add(y)
                     new.append(y)
                     if len(found) > cap:
                         raise CapExceededError("group order", cap)
         frontier = new
-    return sorted(found)
+    return [Perm._from_images(y) for y in sorted(found)]
 
 
 class PermGroup:

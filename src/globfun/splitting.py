@@ -9,7 +9,8 @@ and psi(n, n) the plain inclusion.  Stacking the psi columns gives a square
 matrix, and the splitting statement is that it is unimodular: F(Sym(n)) is
 the direct sum of the kernel lattices.  decompose inverts this sum level by
 level, and verify_dcf_symmetric checks the double coset identity that makes
-the induction step work.
+the induction step work.  kernel_basis and psi are memoized on the functor
+instance, keyed by level, so repeated decompositions build each map once.
 
 The alternating story is the opposite: for n >= 5 restriction out of A_n
 need not be surjective, witnessed by conjugacy fusion, and the low cases
@@ -47,9 +48,19 @@ def _extend(p: Perm, n: int) -> Perm:
 
 
 def kernel_basis(f: GlobalFunctor, k: int):
-    """Rows spanning ker(F(i_k)) in F(Sym(k)) coordinates; all of F(e) at k = 0."""
+    """Rows spanning ker(F(i_k)) in F(Sym(k)) coordinates; all of F(e) at k = 0.
+
+    The rows are fresh lists on every call, so a caller may change them.
+    """
     if k < 0:
         raise UsageError("kernel index must be >= 0")
+    got = f._kernel_memo.get(k)
+    if got is None:
+        got = f._kernel_memo[k] = tuple(map(tuple, _kernel_basis(f, k)))
+    return [list(r) for r in got]
+
+
+def _kernel_basis(f: GlobalFunctor, k: int):
     if k == 0:
         return identity_matrix(f.value(symmetric_group(0)).rank)
     m = f.res(standard_inclusion(k)).matrix
@@ -64,6 +75,13 @@ def psi(f: GlobalFunctor, k: int, n: int) -> ZMap:
     """The summand inclusion of the k-th kernel lattice into F(Sym(n))."""
     if not 0 <= k <= n:
         raise UsageError(f"need 0 <= k <= n, got k={k}, n={n}")
+    got = f._psi_memo.get((k, n))
+    if got is None:
+        got = f._psi_memo[(k, n)] = _psi(f, k, n)
+    return got
+
+
+def _psi(f: GlobalFunctor, k: int, n: int) -> ZMap:
     basis = kernel_basis(f, k)
     src = _kernel_space(k, len(basis))
     target = f.value(symmetric_group(n))

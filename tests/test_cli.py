@@ -74,6 +74,10 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = run(capsys, "--no-cache", *argv)
         assert code == 2, argv
         assert "error:" in err
+    # a negative level is refused as a level, as split does, not as a group spec
+    code, _, err = run(capsys, "--no-cache", "decompose", "--functor", "repring", "--n", "-1")
+    assert code == 2
+    assert "n must be >= 0" in err
 
 
 def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):

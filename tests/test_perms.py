@@ -9,6 +9,8 @@ import random
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from globfun.errors import (
     CapExceededError,
@@ -87,6 +89,52 @@ def test_close_generators_cap():
     gens = [Perm.parse("(1 2)", 4), Perm.parse("(1 2 3 4)", 4)]
     with pytest.raises(CapExceededError):
         close_generators(4, gens, cap=10)
+
+
+def reference_close(degree, generators, cap):
+    """Breadth-first closure by Perm multiplication, the oracle for
+    close_generators, which runs the same search on raw image tuples."""
+    gens = list(generators)
+    ident = Perm.identity(degree)
+    found = {ident}
+    frontier = [ident]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = g * x
+                if y not in found:
+                    found.add(y)
+                    new.append(y)
+                    if len(found) > cap:
+                        raise CapExceededError("group order", cap)
+        frontier = new
+    return sorted(found)
+
+
+@st.composite
+def generator_sets(draw):
+    degree = draw(st.integers(min_value=0, max_value=7))
+    images = st.permutations(range(1, degree + 1)).map(Perm)
+    return degree, draw(st.lists(images, max_size=3))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(generator_sets())
+def test_close_generators_matches_reference(case):
+    degree, gens = case
+    want = reference_close(degree, gens, cap=5040)
+    got = close_generators(degree, gens)
+    assert [p.images for p in got] == [p.images for p in want]
+    for p in got:
+        assert type(p) is Perm and type(p.images) is tuple
+        assert p.degree == degree and p._hash == hash(p.images)
+    assert set(got) == set(want)
+    # the cap is the largest order that passes
+    assert len(close_generators(degree, gens, cap=len(want))) == len(want)
+    if len(want) > 1:
+        with pytest.raises(CapExceededError):
+            close_generators(degree, gens, cap=len(want) - 1)
 
 
 @pytest.mark.parametrize("n", range(7))

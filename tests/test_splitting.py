@@ -161,6 +161,55 @@ def test_decompose_validates_length():
         reassemble(BurnsideFunctor(), 2, [(1,), (2,)])
 
 
+@pytest.mark.parametrize("maker,n_max", [(RepRingFunctor, 6), (BurnsideFunctor, 4)])
+def test_memo_warm_matches_cold(maker, n_max):
+    warm = maker()
+    x = (1,) * warm.value(symmetric_group(n_max)).rank
+    assert reassemble(warm, n_max, decompose(warm, n_max, x)) == x
+    # decompose fills psi(k, m) for every k < m <= n_max
+    assert {(k, m) for m in range(1, n_max + 1) for k in range(m)} <= set(warm._psi_memo)
+    assert len(warm._kernel_memo) == n_max + 1
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            assert psi(warm, k, n).matrix == psi(maker(), k, n).matrix, (k, n)
+        assert kernel_basis(warm, n) == kernel_basis(maker(), n), n
+
+
+def test_memo_not_shared_with_corrupted_functor():
+    A = BurnsideFunctor()
+    decompose(A, 3, (1, 0, 0, 0))
+    before = psi(A, 2, 3)
+    bad = CorruptedTransfer(A, young_two_block(3, 2), symmetric_group(3))
+    assert bad._psi_memo is not A._psi_memo and not bad._psi_memo
+    assert bad._kernel_memo is not A._kernel_memo and not bad._kernel_memo
+    assert psi(bad, 2, 3) != before
+    assert psi(A, 2, 3) == before
+
+
+def test_kernel_basis_rows_are_fresh():
+    A = BurnsideFunctor()
+    rows = kernel_basis(A, 2)
+    rows[0][0] = 99
+    rows.append([5, 5])
+    assert kernel_basis(A, 2) == [[1, -2]]
+
+
+def test_decompose_round_trip_burnside_s6():
+    F = BurnsideFunctor()
+    rng = random.Random(6)
+    rank = F.value(symmetric_group(6)).rank
+    for _ in range(50):
+        x = tuple(rng.randrange(-9, 10) for _ in range(rank))
+        assert reassemble(F, 6, decompose(F, 6, x)) == x
+    # a psi(k, 6) image decomposes into slot k alone
+    for k in range(7):
+        p = psi(F, k, 6)
+        v = tuple(rng.randrange(-9, 10) for _ in range(p.source.rank))
+        comps = decompose(F, 6, p.apply(v))
+        for kk, part in enumerate(comps):
+            assert part == (v if kk == k else (0,) * len(part)), (k, kk)
+
+
 def test_fusion_witness_n5():
     rep = non_splitting_witness_alternating(5)
     assert not rep.restriction_surjective
