@@ -6,8 +6,13 @@ of Y and alpha: H -> X a homomorphism; the pair acts as the transfer off H
 composed with restriction along alpha.  Two pairs name the same class when
 they differ by conjugating H inside Y (rewriting alpha accordingly) or by
 post-conjugating alpha inside X, so a class is canonicalized by minimizing
-over both group actions.  The restriction morphism along i_n goes from
-Sym(n) to Sym(n-1), matching the direction of its action.
+over both group actions.  The minimum is the least (sorted conjugate of H,
+value table of the rewritten alpha) over all of Y x X, but canonical_pair
+reaches it without visiting every pair: the subgroup part runs over the left
+cosets of N_Y(H), and the homomorphism part over the distinct tuples of
+generator images, so the key is the one the full search gives.  The
+restriction morphism along i_n goes from Sym(n) to Sym(n-1), matching the
+direction of its action.
 
 Composition pushes restrictions past transfers with the double coset
 formula and pulls surjections through preimages, which on single pairs
@@ -29,6 +34,8 @@ from .perms import (
     PermGroup,
     conjugate_subgroup,
     double_cosets,
+    left_coset_reps,
+    normalizer,
     product_group,
     standard_inclusion,
     symmetric_group,
@@ -62,27 +69,54 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
 
     The key is the sorted element tuple of the conjugated subgroup together
     with the full value table of the rewritten homomorphism, so it does not
-    depend on any generating-set choice.
+    depend on any generating-set choice.  It is the least such key over all
+    (g, k) in target x source, found without visiting every pair:
+
+    * gHg^-1 depends only on the left coset gN of N = N_target(H), so one
+      representative per coset gives the least conjugate H0 = g0 H g0^-1;
+      the g reaching H0 are exactly g0 N.
+    * A rewritten homomorphism y |-> k alpha(g^-1 y g) k^-1 with g in g0 N
+      is fixed by its images of H0's generators.  Those image tuples are
+      collected one source-conjugation orbit at a time (orbits are disjoint,
+      so a tuple already seen means its whole orbit is in).  Only the
+      distinct ones are compared, on their value tables one entry at a time,
+      and only the least table is built in full.
     """
     source = alpha.target
+    norm = normalizer(target, h)
     best = None
-    for g in target.elements:
+    for g in left_coset_reps(target, norm)[1]:
         ginv = g.inverse()
-        moved = sorted((g * x * ginv) for x in h.elements)
-        skey = tuple(p.images for p in moved)
-        if best is not None and skey > best[0][0]:
+        skey = tuple(sorted((g * x * ginv).images for x in h.elements))
+        if best is None or skey < best[0]:
+            best = (skey, g)
+    skey, g0 = best
+    sub = conjugate_subgroup(h, g0)
+    moved = sub.elements
+    found = {}  # generator image tuple -> (pulled-back values on moved, k)
+    for m in norm.elements:
+        g = g0 * m
+        ginv = g.inverse()
+        vals = tuple(alpha(ginv * s * g) for s in sub.generators)
+        if vals in found:
             continue
-        values = [alpha(ginv * y * g) for y in moved]
+        base = [alpha(ginv * y * g) for y in moved]
         for k in source.elements:
             kinv = k.inverse()
-            hkey = tuple((k * v * kinv).images for v in values)
-            cand = (skey, hkey)
-            if best is None or cand < best[0]:
-                best = (cand, g, k)
-    (skey, hkey), g, k = best
-    ginv, kinv = g.inverse(), k.inverse()
-    sub = conjugate_subgroup(h, g)
-    images = [k * alpha(ginv * y * g) * kinv for y in sub.generators]
+            imgs = tuple(k * v * kinv for v in vals)
+            if imgs not in found:
+                found[imgs] = (base, k)
+    # the least value table, compared one entry at a time: distinct image
+    # tuples have distinct tables, so one candidate is left at the end
+    cands = [(imgs, base, k, k.inverse()) for imgs, (base, k) in found.items()]
+    for i in range(1, len(moved)):
+        if len(cands) == 1:
+            break
+        col = [(k * base[i] * kinv).images for _, base, k, kinv in cands]
+        least = min(col)
+        cands = [c for c, v in zip(cands, col) if v == least]
+    images, base, k, kinv = cands[0]
+    hkey = tuple((k * v * kinv).images for v in base)
     return CanonicalPair(sub, GroupHom(sub, source, images), (skey, hkey))
 
 
@@ -285,47 +319,43 @@ class SectionReport:
         self.basis_size = basis_size
 
     def summary_lines(self):
-        lines = [
+        agree = self.sigma == self.sigma_from_splitting
+        return [
             f"section of restriction at n={self.n}"
             f" (morphism basis size {self.basis_size})",
             f"solver section: {self.sigma!r}",
+            f"splitting section: {self.sigma_from_splitting!r}",
+            f"the two sections {'agree' if agree else 'differ'};"
+            " both compose to the identity",
         ]
-        if self.sigma_from_splitting is not None:
-            agree = self.sigma == self.sigma_from_splitting
-            lines.append(f"splitting section: {self.sigma_from_splitting!r}")
-            lines.append(f"the two sections {'agree' if agree else 'differ'};"
-                         " both compose to the identity")
-        return lines
 
     def to_dict(self):
         return {
             "n": self.n,
             "basis_size": self.basis_size,
             "section": self.sigma.to_json_obj(),
-            "section_from_splitting": (
-                None
-                if self.sigma_from_splitting is None
-                else self.sigma_from_splitting.to_json_obj()
-            ),
+            "section_from_splitting": self.sigma_from_splitting.to_json_obj(),
         }
 
 
-def section_of_restriction(n: int, with_splitting_route: bool = True) -> SectionReport:
+def section_of_restriction(n: int) -> SectionReport:
     """A right inverse of i_n^* in the category, certified by composition.
 
     Solves the integer system over the basis of morphisms from Sym(n-1) to
     Sym(n) and reduces the solution modulo the kernel lattice so the answer
     is deterministic.  A second section is assembled from the level-by-level
-    decomposition of the identity in the represented functor; both composites
-    are checked against the identity morphism, exactly.
+    decomposition of the identity in the represented functor, which shares
+    its morphism bases with the solver; both composites are checked against
+    the identity morphism, exactly.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
     prev = symmetric_group(n - 1)
     cur = symmetric_group(n)
+    rep = RepresentedFunctor(prev)
     istar = BurnsideCatMorphism.restriction(standard_inclusion(n))
-    basis = morphism_basis(prev, cur)
-    target_basis = morphism_basis(prev, prev)
+    basis = rep.basis(cur)
+    target_basis = rep.basis(prev)
     index = {p.key: i for i, p in enumerate(target_basis)}
     columns = []
     for p in basis:
@@ -347,20 +377,17 @@ def section_of_restriction(n: int, with_splitting_route: bool = True) -> Section
     if not istar.compose(sigma) == ident:
         raise MathCheckError("solver produced a non-section")
 
-    sigma_split = None
-    if with_splitting_route:
-        sigma_split = _section_from_splitting(n)
-        if not istar.compose(sigma_split) == ident:
-            raise MathCheckError("splitting route produced a non-section")
+    sigma_split = _section_from_splitting(rep, n)
+    if not istar.compose(sigma_split) == ident:
+        raise MathCheckError("splitting route produced a non-section")
     return SectionReport(n, sigma, sigma_split, len(basis))
 
 
-def _section_from_splitting(n: int) -> BurnsideCatMorphism:
+def _section_from_splitting(rep: RepresentedFunctor, n: int) -> BurnsideCatMorphism:
     """Decompose the identity one level down and push the slots back up."""
     from .splitting import decompose, psi
 
-    prev = symmetric_group(n - 1)
-    rep = RepresentedFunctor(prev)
+    prev = rep.l_group
     ident = BurnsideCatMorphism.identity(prev)
     target = rep._coords(ident, prev)
     parts = decompose(rep, n - 1, target)
@@ -378,17 +405,18 @@ def _split_product_point(p: Perm, d: int):
 
 
 def product_section(
-    g: PermGroup, n: int, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER
+    g: PermGroup, section: SectionReport, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER
 ) -> "ProductSectionReport":
     """Pair every term of a section with the extra factor and verify it.
 
-    Builds sigma for i_n, forms the morphism from G x Sym(n-1) to G x Sym(n)
-    with basis pairs (G x H, G x alpha), and checks on the Burnside functor
-    that it is a right inverse of restriction along G x i_n.
+    Takes the solver's sigma for i_n from `section`, forms the morphism from
+    G x Sym(n-1) to G x Sym(n) with basis pairs (G x H, G x alpha), and
+    checks on the Burnside functor that it is a right inverse of restriction
+    along G x i_n.
     """
     from .burnside import BurnsideFunctor
 
-    base = section_of_restriction(n, with_splitting_route=False)
+    n = section.n
     prev, cur = symmetric_group(n - 1), symmetric_group(n)
     big_prev = product_group(g, prev)
     big_cur = product_group(g, cur)
@@ -404,8 +432,8 @@ def product_section(
     big_inc = GroupHom.from_callable(big_prev, big_cur, embed)
 
     paired = BurnsideCatMorphism(big_prev, big_cur)
-    for key in sorted(base.sigma.terms):
-        pair, coeff = base.sigma.terms[key]
+    for key in sorted(section.sigma.terms):
+        pair, coeff = section.sigma.terms[key]
         sub = product_group(g, pair.subgroup)
 
         def mapped(p: Perm, inner=pair.hom):

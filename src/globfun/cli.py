@@ -193,7 +193,7 @@ def _cmd_section(config, cache, args):
     payload = report.to_dict()
     lines = report.summary_lines()
     if g is not None:
-        prod = product_section(g, args.n, lattice_cap=config.max_lattice_order)
+        prod = product_section(g, report, lattice_cap=config.max_lattice_order)
         payload["product"] = prod.to_dict()
         lines += prod.summary_lines()
     return payload, lines, True

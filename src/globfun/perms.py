@@ -168,12 +168,15 @@ class Perm:
 def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
     """Breadth-first closure of a generating set; returns the sorted element list.
 
-    Raises CapExceededError once more than `cap` elements appear.
+    Raises CapExceededError once more than `cap` elements appear, and at
+    once when `cap` < 1, since every group has its identity.
     """
     gens = list(generators)
     for g in gens:
         if g.degree != degree:
             raise UsageError(f"generator degree {g.degree} != {degree}")
+    if cap < 1:
+        raise CapExceededError("group order", cap)
     # the search runs on plain image tuples: tuple(map(lift, x)) is the
     # images of g * x, where lift reads g's images 1-based
     lifts = [((0,) + g.images).__getitem__ for g in gens]

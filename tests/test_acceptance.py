@@ -159,15 +159,16 @@ def test_criterion_06_decompose_round_trip(capsys, burnside, repring):
 
 def test_criterion_07_category_sections(capsys):
     bad = []
+    reports = {}
     for n in (1, 2, 3, 4):
-        rep = section_of_restriction(n)
+        rep = reports[n] = section_of_restriction(n)
         istar = BurnsideCatMorphism.restriction(standard_inclusion(n))
         ident = BurnsideCatMorphism.identity(symmetric_group(n - 1))
         for tag, sigma in (("solver", rep.sigma), ("splitting", rep.sigma_from_splitting)):
             if not istar.compose(sigma) == ident:
                 bad.append(f"n={n} {tag} route")
     for n in (2, 3):
-        if not product_section(symmetric_group(2), n).verified:
+        if not product_section(symmetric_group(2), reports[n]).verified:
             bad.append(f"product n={n}")
     report(capsys, 7, "sections of the restriction morphism", not bad, "; ".join(bad))
 

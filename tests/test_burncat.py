@@ -12,6 +12,7 @@ import pytest
 
 from globfun.burncat import (
     BurnsideCatMorphism,
+    CanonicalPair,
     RepresentedFunctor,
     canonical_pair,
     morphism_basis,
@@ -23,7 +24,10 @@ from globfun.errors import UsageError
 from globfun.functors import standard_probe, verify_axioms
 from globfun.perms import (
     GroupHom,
+    Perm,
+    all_homs,
     conjugate_subgroup,
+    product_group,
     standard_inclusion,
     symmetric_group,
     trivial_subgroup,
@@ -92,11 +96,81 @@ def test_canonical_pair_invariance():
         for _ in range(4):
             g = rng.choice(big.elements)
             k = rng.choice(S[2].elements)
-            moved = conjugate_subgroup(pair.subgroup, g)
-            ginv, kinv = g.inverse(), k.inverse()
-            images = [k * pair.hom(ginv * x * g) * kinv for x in moved.generators]
-            beta = GroupHom(moved, S[2], images)
+            moved, beta = _moved(pair.subgroup, pair.hom, g, k)
             assert canonical_pair(moved, beta, big).key == pair.key
+
+
+def reference_canonical_pair(h, alpha, target):
+    """The brute-force minimum over every (g, k) in target x source, the
+    oracle for canonical_pair, which searches cosets of the normalizer and
+    distinct generator images instead."""
+    source = alpha.target
+    best = None
+    for g in target.elements:
+        ginv = g.inverse()
+        moved = sorted((g * x * ginv) for x in h.elements)
+        skey = tuple(p.images for p in moved)
+        if best is not None and skey > best[0][0]:
+            continue
+        values = [alpha(ginv * y * g) for y in moved]
+        for k in source.elements:
+            kinv = k.inverse()
+            hkey = tuple((k * v * kinv).images for v in values)
+            cand = (skey, hkey)
+            if best is None or cand < best[0]:
+                best = (cand, g, k)
+    (skey, hkey), g, k = best
+    ginv, kinv = g.inverse(), k.inverse()
+    sub = conjugate_subgroup(h, g)
+    images = [k * alpha(ginv * y * g) * kinv for y in sub.generators]
+    return CanonicalPair(sub, GroupHom(sub, source, images), (skey, hkey))
+
+
+def _assert_same_pair(h, alpha, target):
+    got = canonical_pair(h, alpha, target)
+    want = reference_canonical_pair(h, alpha, target)
+    assert got.key == want.key
+    assert got.label() == want.label()
+    assert got.hom.gen_images == want.hom.gen_images
+
+
+def _moved(h, alpha, g, k):
+    """(gHg^-1, y |-> k alpha(g^-1 y g) k^-1), a pair in the same class."""
+    moved = conjugate_subgroup(h, g)
+    ginv, kinv = g.inverse(), k.inverse()
+    images = [k * alpha(ginv * x * g) * kinv for x in moved.generators]
+    return moved, GroupHom(moved, alpha.target, images)
+
+
+def test_canonical_pair_matches_reference():
+    rng = random.Random(2)
+    for k, g in BASIS_COUNTS:
+        src, tgt = S[k], S[g]
+        for cls in subgroup_classes(tgt).classes:
+            h = cls.representative
+            for alpha in all_homs(h, src):
+                _assert_same_pair(h, alpha, tgt)
+                for _ in range(2):
+                    _assert_same_pair(
+                        *_moved(h, alpha, rng.choice(tgt.elements), rng.choice(src.elements)),
+                        tgt,
+                    )
+
+
+def test_canonical_pair_matches_reference_on_products():
+    # pairs (S2 x H, S2 x alpha) as product_section builds them for S2 x i_4,
+    # over the whole S3 -> S4 basis
+    big_prev = product_group(S[2], S[3])
+    big_cur = product_group(S[2], S[4])
+    left = [Perm(x.images + (3, 4, 5)) for x in S[2].generators]
+    for pair in morphism_basis(S[3], S[4]):
+        sub = product_group(S[2], pair.subgroup)
+        right = [
+            Perm((1, 2) + tuple(v + 2 for v in pair.hom(x).images))
+            for x in pair.subgroup.generators
+        ]
+        alpha = GroupHom(sub, big_prev, left + right)
+        _assert_same_pair(sub, alpha, big_cur)
 
 
 def test_identity_law():
@@ -247,13 +321,13 @@ def test_section_deterministic_and_serializable():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_product_section_sym2(n):
-    rep = product_section(S[2], n)
+    rep = product_section(S[2], section_of_restriction(n))
     assert rep.verified
     assert rep.to_dict()["n"] == n
 
 
 def test_product_section_trivial_factor():
-    rep = product_section(S[1], 2)
+    rep = product_section(S[1], section_of_restriction(2))
     assert rep.verified
 
 

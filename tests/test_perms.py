@@ -132,9 +132,8 @@ def test_close_generators_matches_reference(case):
     assert set(got) == set(want)
     # the cap is the largest order that passes
     assert len(close_generators(degree, gens, cap=len(want))) == len(want)
-    if len(want) > 1:
-        with pytest.raises(CapExceededError):
-            close_generators(degree, gens, cap=len(want) - 1)
+    with pytest.raises(CapExceededError):
+        close_generators(degree, gens, cap=len(want) - 1)
 
 
 @pytest.mark.parametrize("n", range(7))
