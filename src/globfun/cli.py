@@ -212,6 +212,8 @@ def _cmd_fusion(config, cache, args):
         raise UsageError(f"bad --n-range {args.n_range!r}, expected like 5..8")
     if lo > hi:
         raise UsageError("empty --n-range")
+    if not 5 <= lo <= hi <= 8:
+        raise UsageError("the fusion search covers 5 <= n <= 8")
     _check_order(config, hi, False, alternating=True)
     payload = {"family": args.family, "reports": []}
     lines = []

@@ -11,12 +11,18 @@ Conventions, fixed once and used everywhere:
 * permutations act on the left, (p * q)(x) = p(q(x));
 * conjugation is conj(p, g) = g p g^-1, and H^g means g H g^-1;
 * "least" always means lexicographically least image tuple.
+
+Kernel convention: the hot loops (group closure, the homomorphism pass,
+conjugacy classes) run on plain 1-based image tuples and build `Perm`
+objects only at the API boundary.  Multiplying a tuple x on the right by a
+fixed p is one cached getter, `_right_mul(p)`, since (x * p)(i) = x(p(i)).
 """
 
 from __future__ import annotations
 
 import re
 from math import lcm
+from operator import itemgetter
 
 from .errors import (
     CapExceededError,
@@ -95,7 +101,9 @@ class Perm:
         return self.images[point - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        # (p * q)(x) = p(q(x)); inlined for speed, this is the hot path.
+        # (p * q)(x) = p(q(x)); inlined for speed
+        if other.degree != self.degree:
+            raise UsageError(f"cannot multiply degrees {self.degree} and {other.degree}")
         imgs = self.images
         out = Perm.__new__(Perm)
         out.degree = self.degree
@@ -165,6 +173,14 @@ class Perm:
         return self._hash
 
 
+def _right_mul(p: Perm):
+    """x -> x * p on image tuples, as (x * p)(i) = x(p(i)).  Below degree 2,
+    p is the identity, and itemgetter needs two indices to return a tuple."""
+    if p.degree < 2:
+        return tuple
+    return itemgetter(*[j - 1 for j in p.images])
+
+
 def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
     """Breadth-first closure of a generating set; returns the sorted element list.
 
@@ -177,23 +193,18 @@ def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
             raise UsageError(f"generator degree {g.degree} != {degree}")
     if cap < 1:
         raise CapExceededError("group order", cap)
-    # the search runs on plain image tuples: tuple(map(lift, x)) is the
-    # images of g * x, where lift reads g's images 1-based
-    lifts = [((0,) + g.images).__getitem__ for g in gens]
+    muls = [_right_mul(g) for g in gens]
     ident = tuple(range(1, degree + 1))
     found = {ident}
-    frontier = [ident]
-    while frontier:
-        new = []
-        for x in frontier:
-            for lift in lifts:
-                y = tuple(map(lift, x))
-                if y not in found:
-                    found.add(y)
-                    new.append(y)
-                    if len(found) > cap:
-                        raise CapExceededError("group order", cap)
-        frontier = new
+    queue = [ident]
+    for x in queue:  # grows while it is read: breadth-first order
+        for mul in muls:
+            y = mul(x)
+            if y not in found:
+                found.add(y)
+                queue.append(y)
+                if len(found) > cap:
+                    raise CapExceededError("group order", cap)
     return [Perm._from_images(y) for y in sorted(found)]
 
 
@@ -220,10 +231,7 @@ class PermGroup:
         self.element_set = frozenset(self.elements)
         self.order = len(self.elements)
         self.name = name
-        self._key = None
-        self._classes = None
-        self._class_index = None
-        self._orbits = None
+        self._key = self._classes = self._class_index = self._orbits = None
 
     @staticmethod
     def from_elements(degree, elements, name="") -> "PermGroup":
@@ -234,10 +242,9 @@ class PermGroup:
         and inverses are cheap to check, so they are.
         """
         elems = sorted(set(elements))
-        ident = Perm.identity(degree)
-        if ident not in elems:
-            raise NotASubgroupError("identity missing")
         eset = frozenset(elems)
+        if Perm.identity(degree) not in eset:
+            raise NotASubgroupError("identity missing")
         for x in elems:
             if x.inverse() not in eset:
                 raise NotASubgroupError(f"inverse of {x} missing")
@@ -247,11 +254,8 @@ class PermGroup:
         g.element_set = eset
         g.order = len(elems)
         g.name = name
-        g.generators = tuple(_small_generating_set(degree, elems, eset))
-        g._key = None
-        g._classes = None
-        g._class_index = None
-        g._orbits = None
+        g.generators = tuple(_small_generating_set(degree, elems))
+        g._key = g._classes = g._class_index = g._orbits = None
         return g
 
     @property
@@ -295,16 +299,13 @@ class PermGroup:
             if start in seen:
                 continue
             orb = {start}
-            frontier = [start]
-            while frontier:
-                nxt = []
-                for pt in frontier:
-                    for g in self.generators:
-                        q = g(pt)
-                        if q not in orb:
-                            orb.add(q)
-                            nxt.append(q)
-                frontier = nxt
+            queue = [start]
+            for pt in queue:
+                for g in self.generators:
+                    q = g(pt)
+                    if q not in orb:
+                        orb.add(q)
+                        queue.append(q)
             seen |= orb
             out.append(tuple(sorted(orb)))
         self._orbits = tuple(out)
@@ -317,25 +318,24 @@ class PermGroup:
         """
         if self._classes is not None:
             return self._classes
-        gens = self.generators
+        # z = g y g^-1 on tuples: left-multiply by g, then right by g^-1
+        steps = [(((0,) + g.images).__getitem__, _right_mul(g.inverse())) for g in self.generators]
+        own = {x.images: x for x in self.elements}
         assigned = set()
         classes = []
-        for x in self.elements:  # elements sorted, so reps come out least-first
+        for x in own:  # elements sorted, so reps come out least-first
             if x in assigned:
                 continue
             orb = {x}
-            frontier = [x]
-            while frontier:
-                nxt = []
-                for y in frontier:
-                    for g in gens:
-                        z = g * y * g.inverse()
-                        if z not in orb:
-                            orb.add(z)
-                            nxt.append(z)
-                frontier = nxt
+            queue = [x]
+            for y in queue:
+                for lift, mul in steps:
+                    z = mul(tuple(map(lift, y)))
+                    if z not in orb:
+                        orb.add(z)
+                        queue.append(z)
             assigned |= orb
-            classes.append(tuple(sorted(orb)))
+            classes.append(tuple(own[z] for z in sorted(orb)))
         self._classes = tuple(classes)
         self._class_index = {x: i for i, cls in enumerate(classes) for x in cls}
         return self._classes
@@ -350,10 +350,8 @@ class PermGroup:
         return tuple(cls[0] for cls in self.conjugacy_classes())
 
 
-def _small_generating_set(degree, sorted_elems, eset):
+def _small_generating_set(degree, sorted_elems):
     """Greedy generating set: repeatedly adjoin the least element not yet generated."""
-    if len(sorted_elems) == 1:
-        return []
     gens = []
     have = {Perm.identity(degree)}
     for x in sorted_elems:
@@ -483,10 +481,11 @@ class GroupHom:
     """A homomorphism between enumerated groups, given by generator images.
 
     The constructor extends the images over the Cayley graph of the source
-    in one breadth-first pass.  Every edge x -> g x is checked against
-    f(g x) = f(g) f(x), which forces full multiplicativity by induction on
-    word length, so that pass is also the homomorphism check.  The total map
-    is kept: restriction matrices, images and preimages all read it.
+    in one breadth-first pass on image tuples.  Every edge x -> x g is
+    checked against f(x g) = f(x) f(g), which forces full multiplicativity
+    by induction on word length, so that pass is also the homomorphism
+    check.  The total map is kept, keyed by the source's own element
+    objects: restriction matrices, images and preimages all read it.
     """
 
     __slots__ = ("source", "target", "gen_images", "mapping")
@@ -498,26 +497,26 @@ class GroupHom:
         for v in images:
             if v not in target:
                 raise NotAHomomorphismError(f"image {v} outside target")
-        # filled in place, so the keys stay the source's own element objects
-        mapping = dict.fromkeys(source.elements)
-        ident = source.identity
-        mapping[ident] = target.identity
+        edges = [(g, _right_mul(g), _right_mul(fg)) for g, fg in zip(gens, images)]
+        ident = tuple(range(1, source.degree + 1))
+        tmap = {ident: tuple(range(1, target.degree + 1))}
         queue = [ident]
         for x in queue:  # grows while it is read: breadth-first order
-            fx = mapping[x]
-            for g, fg in zip(gens, images):
-                y = g * x
-                fy = fg * fx
-                old = mapping[y]
+            fx = tmap[x]
+            for g, mul, fmul in edges:
+                y = mul(x)
+                fy = fmul(fx)
+                old = tmap.get(y)
                 if old is None:
-                    mapping[y] = fy
+                    tmap[y] = fy
                     queue.append(y)
                 elif old != fy:
-                    raise NotAHomomorphismError(f"fails at {g} * {x}")
+                    raise NotAHomomorphismError(f"fails at {Perm._from_images(x)} * {g}")
+        values = {t: Perm._from_images(t) for t in set(tmap.values())}
         self.source = source
         self.target = target
         self.gen_images = tuple(images)
-        self.mapping = mapping
+        self.mapping = {x: values[tmap[x.images]] for x in source.elements}
 
     @staticmethod
     def from_callable(source, target, fn) -> "GroupHom":
@@ -721,16 +720,13 @@ def double_cosets(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
         if r in seen:
             continue
         orbit = {r}
-        frontier = [r]
-        while frontier:
-            nxt = []
-            for c in frontier:
-                for t in h.generators:
-                    c2 = rep_of[t * c]
-                    if c2 not in orbit:
-                        orbit.add(c2)
-                        nxt.append(c2)
-            frontier = nxt
+        queue = [r]
+        for c in queue:
+            for t in h.generators:
+                c2 = rep_of[t * c]
+                if c2 not in orbit:
+                    orbit.add(c2)
+                    queue.append(c2)
         seen |= orbit
         out.append(min(orbit))
     return sorted(out)

@@ -57,9 +57,10 @@ def test_json_output_roundtrips(capsys):
         assert json.dumps(json.loads(text), sort_keys=True) == text
 
 
-def test_usage_errors_exit_2(capsys):
+def test_usage_errors_exit_2(capsys, monkeypatch):
     cases = [
         ("fusion", "--family", "alternating", "--n-range", "9..9"),
+        ("fusion", "--family", "alternating", "--n-range", "5..9"),
         ("fusion", "--family", "alternating", "--n-range", "bogus"),
         ("fusion", "--family", "alternating", "--n-range", "7..5"),
         ("decompose", "--functor", "burnside", "--n", "2", "--element", "[1.5]"),
@@ -74,6 +75,18 @@ def test_usage_errors_exit_2(capsys):
         code, _, err = run(capsys, "--no-cache", *argv)
         assert code == 2, argv
         assert "error:" in err
+    # the fusion range is refused before the group cap and before any work
+    searched = []
+    monkeypatch.setattr(cli, "non_splitting_witness_alternating", searched.append)
+    for cap in ("50000", "200000"):
+        monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", cap)
+        for bad in ("5..9", "4..6"):
+            argv = ("fusion", "--family", "alternating", "--n-range", bad)
+            code, out, err = run(capsys, "--no-cache", *argv)
+            assert code == 2 and out == ""
+            assert "5 <= n <= 8" in err and "cap" not in err
+    assert searched == []
+    monkeypatch.delenv("GLOBFUN_MAX_GROUP_ORDER")
     # a negative level is refused as a level, as split does, not as a group spec
     code, _, err = run(capsys, "--no-cache", "decompose", "--functor", "repring", "--n", "-1")
     assert code == 2
@@ -109,7 +122,8 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
         ({"GLOBFUN_MAX_GROUP_ORDER": "60000"}, ("split", "--functor", "repring", "--n", "9"),
          "cap 60000"),
         ({}, ("verify-axioms", "--functor", "repring", "--max-n", "1000000"), "cap 50000"),
-        ({}, ("fusion", "--family", "alternating", "--n-range", "5..1000000"), "cap 50000"),
+        # a range past 8 is refused as a range, before the cap is looked at
+        ({}, ("fusion", "--family", "alternating", "--n-range", "5..1000000"), "5 <= n <= 8"),
     ]:
         with monkeypatch.context() as m:
             for name, value in env.items():

@@ -62,6 +62,14 @@ def test_perm_validation():
         Perm.parse("(1 9)", 3)
 
 
+def test_perm_mul_rejects_degree_mismatch():
+    p, q = Perm((1, 2, 3)), Perm((2, 1))
+    with pytest.raises(UsageError):
+        p * q
+    with pytest.raises(UsageError):
+        q * p
+
+
 def test_perm_composition_order():
     # (p * q)(x) = p(q(x))
     p = Perm.parse("(1 2)", 3)
@@ -134,6 +142,123 @@ def test_close_generators_matches_reference(case):
     assert len(close_generators(degree, gens, cap=len(want))) == len(want)
     with pytest.raises(CapExceededError):
         close_generators(degree, gens, cap=len(want) - 1)
+
+
+def reference_classes(group):
+    """Conjugacy classes by Perm multiplication, the oracle for
+    PermGroup.conjugacy_classes, which runs the same orbits on image tuples."""
+    assigned = set()
+    classes = []
+    for x in group.elements:
+        if x in assigned:
+            continue
+        orb = {x}
+        frontier = [x]
+        while frontier:
+            nxt = []
+            for y in frontier:
+                for g in group.generators:
+                    z = g * y * g.inverse()
+                    if z not in orb:
+                        orb.add(z)
+                        nxt.append(z)
+            frontier = nxt
+        assigned |= orb
+        classes.append(tuple(sorted(orb)))
+    return classes
+
+
+def reference_hom(source, target, images):
+    """Generator images extended over the edges x -> g x by Perm
+    multiplication, the oracle for GroupHom, which walks the edges x -> x g
+    on image tuples.  Returns the total map or raises NotAHomomorphismError."""
+    for v in images:
+        if v not in target:
+            raise NotAHomomorphismError(f"image {v} outside target")
+    mapping = dict.fromkeys(source.elements)
+    ident = source.identity
+    mapping[ident] = target.identity
+    queue = [ident]
+    for x in queue:
+        fx = mapping[x]
+        for g, fg in zip(source.generators, images):
+            y = g * x
+            fy = fg * fx
+            if mapping[y] is None:
+                mapping[y] = fy
+                queue.append(y)
+            elif mapping[y] != fy:
+                raise NotAHomomorphismError(f"fails at {g} * {x}")
+    return mapping
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(generator_sets())
+def test_conjugacy_classes_match_reference(case):
+    degree, gens = case
+    group = PermGroup(degree, gens)
+    want = reference_classes(group)
+    got = group.conjugacy_classes()
+    assert [[p.images for p in c] for c in got] == [[p.images for p in c] for c in want]
+    # members are the group's own element objects
+    own = {id(x) for x in group.elements}
+    assert all(id(x) in own for c in got for x in c)
+    index = group.class_index()
+    assert len(index) == group.order
+    assert all(index[x] == i for i, c in enumerate(want) for x in c)
+
+
+@st.composite
+def hom_cases(draw):
+    """A random source group with generator images that are a conjugation
+    into a group of the same degree, or drawn at random from Sym(1..4)."""
+    degree, gens = draw(generator_sets())
+    source = PermGroup(degree, gens)
+    if draw(st.booleans()):
+        t = draw(st.permutations(range(1, degree + 1)).map(Perm))
+        target = PermGroup(degree, [t, *gens])
+        return source, target, [t * g * t.inverse() for g in gens]
+    target = symmetric_group(draw(st.integers(min_value=1, max_value=4)))
+    images = [draw(st.sampled_from(target.elements)) for _ in gens]
+    return source, target, images
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(hom_cases())
+def test_group_hom_matches_reference(case):
+    source, target, images = case
+    try:
+        want = reference_hom(source, target, images)
+    except NotAHomomorphismError:
+        with pytest.raises(NotAHomomorphismError):
+            GroupHom(source, target, images)
+        return
+    hom = GroupHom(source, target, images)
+    # keyed by the source's own element objects, in element order
+    assert len(hom.mapping) == source.order
+    assert all(k is x for k, x in zip(hom.mapping, source.elements))
+    assert {x: v.images for x, v in hom.mapping.items()} == {
+        x: v.images for x, v in want.items()
+    }
+    for v in hom.mapping.values():
+        assert type(v) is Perm and v.degree == target.degree and v._hash == hash(v.images)
+    # equal images are one shared Perm value
+    assert len({id(v) for v in hom.mapping.values()}) == len(set(hom.mapping.values()))
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_kernel_at_degree_zero_and_one(degree):
+    e = Perm.identity(degree)
+    assert close_generators(degree, []) == [e]
+    assert close_generators(degree, [e, e]) == [e]
+    group = PermGroup(degree, [e])
+    assert group.conjugacy_classes() == ((e,),)
+    assert group.conjugacy_classes()[0][0] is group.elements[0]
+    s3 = symmetric_group(3)
+    assert GroupHom(group, s3, [s3.identity]).mapping == {e: s3.identity}
+    assert GroupHom.identity(group).mapping == {e: e}
+    with pytest.raises(NotAHomomorphismError):
+        GroupHom(group, s3, [Perm.parse("(1 2)", 3)])
 
 
 @pytest.mark.parametrize("n", range(7))
