@@ -34,6 +34,9 @@ from .perms import (
     PermGroup,
     conjugate_subgroup,
     double_cosets,
+    _conjugator,
+    _inverse,
+    _right_mul,
     left_coset_reps,
     normalizer,
     product_group,
@@ -86,38 +89,41 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
     norm = normalizer(target, h)
     best = None
     for g in left_coset_reps(target, norm)[1]:
-        ginv = g.inverse()
-        skey = tuple(sorted((g * x * ginv).images for x in h.elements))
+        lift, mul = _conjugator(g)
+        skey = tuple(sorted([mul(tuple(map(lift, x))) for x in h.key()[1]]))
         if best is None or skey < best[0]:
             best = (skey, g)
     skey, g0 = best
-    sub = conjugate_subgroup(h, g0)
-    moved = sub.elements
-    found = {}  # generator image tuple -> (pulled-back values on moved, k)
+    sub = PermGroup.from_elements(target.degree, map(Perm._from_images, skey))
+    subgens = [s.images for s in sub.generators]
+    table = {x.images: fx.images for x, fx in alpha.mapping.items()}
+    kconj = [_conjugator(k.images) for k in source.elements]
+    to_ginv = _right_mul(_inverse(g0))  # m -> m g0^-1
+    found = {}  # generator image tuple -> (pulled-back values on skey, k's conjugator)
     for m in norm.elements:
-        g = g0 * m
-        ginv = g.inverse()
-        vals = tuple(alpha(ginv * s * g) for s in sub.generators)
+        # y |-> g^-1 y g for g = g0 m^-1, as m^-1 runs over N with m
+        lift, mul = _conjugator(to_ginv(m.images))
+        vals = tuple([table[mul(tuple(map(lift, s)))] for s in subgens])
         if vals in found:
             continue
-        base = [alpha(ginv * y * g) for y in moved]
-        for k in source.elements:
-            kinv = k.inverse()
-            imgs = tuple(k * v * kinv for v in vals)
+        base = [table[mul(tuple(map(lift, y)))] for y in skey]
+        for klift, kmul in kconj:
+            imgs = tuple([kmul(tuple(map(klift, v))) for v in vals])
             if imgs not in found:
-                found[imgs] = (base, k)
+                found[imgs] = (base, klift, kmul)
     # the least value table, compared one entry at a time: distinct image
     # tuples have distinct tables, so one candidate is left at the end
-    cands = [(imgs, base, k, k.inverse()) for imgs, (base, k) in found.items()]
-    for i in range(1, len(moved)):
+    cands = [(imgs, *rest) for imgs, rest in found.items()]
+    for i in range(1, len(skey)):
         if len(cands) == 1:
             break
-        col = [(k * base[i] * kinv).images for _, base, k, kinv in cands]
+        col = [kmul(tuple(map(klift, base[i]))) for _, base, klift, kmul in cands]
         least = min(col)
         cands = [c for c, v in zip(cands, col) if v == least]
-    images, base, k, kinv = cands[0]
-    hkey = tuple((k * v * kinv).images for v in base)
-    return CanonicalPair(sub, GroupHom(sub, source, images), (skey, hkey))
+    images, base, klift, kmul = cands[0]
+    hkey = tuple([kmul(tuple(map(klift, v))) for v in base])
+    hom = GroupHom(sub, source, [Perm._from_images(v) for v in images])
+    return CanonicalPair(sub, hom, (skey, hkey))
 
 
 def morphism_basis(source: PermGroup, target: PermGroup):

@@ -10,7 +10,7 @@ just re-reads an H-set as a G-set on the same cosets: [H/L] goes to [G/L].
 from .errors import MathCheckError
 from .functors import FreeAbelian, GlobalFunctor
 from .linalg import zeros
-from .perms import PermGroup, left_coset_reps
+from .perms import PermGroup, _right_mul, left_coset_reps
 from .subgroups import DEFAULT_MAX_LATTICE_ORDER, subgroup_classes
 
 
@@ -32,27 +32,29 @@ class BurnsideFunctor(GlobalFunctor):
         k, g = alpha.source, alpha.target
         lat_g = self._lattice(g)
         lat_k = self._lattice(k)
-        kgens = k.generators or [k.identity]
+        values = set(alpha.mapping.values())  # one shared Perm per distinct value
+        gen_images = [alpha(x).images for x in k.generators]
         matrix = zeros(len(lat_k), len(lat_g))
         for j, cls in enumerate(lat_g.classes):
-            rep_of, reps = left_coset_reps(g, cls.representative)
-            todo = dict.fromkeys(reps)
+            coset_of, reps = left_coset_reps(g, cls.representative)
+            todo = dict.fromkeys(range(len(reps)))
             while todo:
                 start, _ = todo.popitem()
                 orbit = {start}
                 frontier = [start]
                 while frontier:
-                    r = frontier.pop()
-                    for x in kgens:
-                        nxt = rep_of[alpha(x) * r]
+                    mul = _right_mul(reps[frontier.pop()])
+                    for a in gen_images:
+                        nxt = coset_of[mul(a)]
                         if nxt not in orbit:
                             orbit.add(nxt)
                             todo.pop(nxt, None)
                             frontier.append(nxt)
-                stab = PermGroup.from_elements(
-                    k.degree, [x for x in k.elements if rep_of[alpha(x) * start] == start]
-                )
-                if stab.order * len(orbit) != k.order:
+                # x fixes the coset r H when alpha(x) r lies in it
+                mul = _right_mul(reps[start])
+                fixing = {v for v in values if coset_of[mul(v.images)] == start}
+                stab = frozenset([x.images for x, fx in alpha.mapping.items() if fx in fixing])
+                if len(stab) * len(orbit) != k.order:
                     raise MathCheckError("orbit size does not match stabilizer index")
                 matrix[lat_k.class_of(stab)][j] += 1
         return matrix
@@ -62,5 +64,5 @@ class BurnsideFunctor(GlobalFunctor):
         lat_g = self._lattice(g)
         matrix = zeros(len(lat_g), len(lat_h))
         for j, cls in enumerate(lat_h.classes):
-            matrix[lat_g.class_of(cls.representative)][j] = 1
+            matrix[lat_g.class_of(cls.representative.key()[1])][j] = 1
         return matrix

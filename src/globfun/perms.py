@@ -12,10 +12,11 @@ Conventions, fixed once and used everywhere:
 * conjugation is conj(p, g) = g p g^-1, and H^g means g H g^-1;
 * "least" always means lexicographically least image tuple.
 
-Kernel convention: the hot loops (group closure, the homomorphism pass,
-conjugacy classes) run on plain 1-based image tuples and build `Perm`
-objects only at the API boundary.  Multiplying a tuple x on the right by a
-fixed p is one cached getter, `_right_mul(p)`, since (x * p)(i) = x(p(i)).
+Kernel convention: the hot loops (closure, the homomorphism pass, conjugacy
+classes, cosets, normalizers, the checks of `from_elements`) run on plain
+1-based image tuples and build `Perm` objects only at the API boundary.
+x -> x * p is one cached getter, `_right_mul(p)`, as (x * p)(i) = x(p(i));
+conjugation is a (lift, right-multiply) pair, `_conjugator(g)`.
 """
 
 from __future__ import annotations
@@ -112,10 +113,7 @@ class Perm:
         return out
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.degree
-        for i, j in enumerate(self.images):
-            inv[j - 1] = i + 1
-        return Perm._from_images(tuple(inv))
+        return Perm._from_images(_inverse(self.images))
 
     def conj(self, g: "Perm") -> "Perm":
         """g * self * g^-1."""
@@ -173,12 +171,41 @@ class Perm:
         return self._hash
 
 
-def _right_mul(p: Perm):
+def _right_mul(p: tuple):
     """x -> x * p on image tuples, as (x * p)(i) = x(p(i)).  Below degree 2,
     p is the identity, and itemgetter needs two indices to return a tuple."""
-    if p.degree < 2:
+    if len(p) < 2:
         return tuple
-    return itemgetter(*[j - 1 for j in p.images])
+    return itemgetter(*[j - 1 for j in p])
+
+
+def _inverse(p: tuple) -> tuple:
+    """The inverse image tuple: i -> the 1-based position of i in p."""
+    return tuple(map(((0,) + p).index, range(1, len(p) + 1)))
+
+
+def _conjugator(g: tuple):
+    """y -> g y g^-1 on image tuples, as the pair (lift, mul) with
+    g y g^-1 = mul(tuple(map(lift, y)))."""
+    return ((0,) + g).__getitem__, _right_mul(_inverse(g))
+
+
+def _join(hset, gens, cap):
+    """Element set of <gens> from that of H = <gens[:-1]>, one right coset
+    H y at a time (Dimino): a coset representative times a generator outside
+    the known elements brings in a whole new coset.  Capped at `cap`."""
+    found = set(hset)
+    muls = [_right_mul(s) for s in gens]
+    reps = [tuple(range(1, len(gens[0]) + 1))]
+    for x in reps:  # reps grows while it is read
+        for mul in muls:
+            y = mul(x)
+            if y not in found:
+                found.update(map(_right_mul(y), hset))
+                if len(found) > cap:
+                    raise CapExceededError("group order", cap)
+                reps.append(y)
+    return frozenset(found)
 
 
 def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
@@ -193,7 +220,7 @@ def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
             raise UsageError(f"generator degree {g.degree} != {degree}")
     if cap < 1:
         raise CapExceededError("group order", cap)
-    muls = [_right_mul(g) for g in gens]
+    muls = [_right_mul(g.images) for g in gens]
     ident = tuple(range(1, degree + 1))
     found = {ident}
     queue = [ident]
@@ -238,24 +265,28 @@ class PermGroup:
         """Build a group from a set already known to be closed.
 
         Closure is the caller's responsibility (intersections, preimages and
-        point stabilizers of subgroups are closed by construction); identity
-        and inverses are cheap to check, so they are.
+        point stabilizers of subgroups are closed by construction); degrees,
+        identity and inverses are cheap to check, so they are.
         """
         elems = sorted(set(elements))
-        eset = frozenset(elems)
-        if Perm.identity(degree) not in eset:
+        for x in elems:
+            if x.degree != degree:
+                raise UsageError(f"element degree {x.degree} != {degree}")
+        tset = frozenset(x.images for x in elems)
+        if tuple(range(1, degree + 1)) not in tset:
             raise NotASubgroupError("identity missing")
         for x in elems:
-            if x.inverse() not in eset:
+            if _inverse(x.images) not in tset:
                 raise NotASubgroupError(f"inverse of {x} missing")
         g = PermGroup.__new__(PermGroup)
         g.degree = degree
         g.elements = tuple(elems)
-        g.element_set = eset
+        g.element_set = frozenset(elems)
         g.order = len(elems)
         g.name = name
         g.generators = tuple(_small_generating_set(degree, elems))
-        g._key = g._classes = g._class_index = g._orbits = None
+        g._key = (degree, tset)
+        g._classes = g._class_index = g._orbits = None
         return g
 
     @property
@@ -319,7 +350,7 @@ class PermGroup:
         if self._classes is not None:
             return self._classes
         # z = g y g^-1 on tuples: left-multiply by g, then right by g^-1
-        steps = [(((0,) + g.images).__getitem__, _right_mul(g.inverse())) for g in self.generators]
+        steps = [_conjugator(g.images) for g in self.generators]
         own = {x.images: x for x in self.elements}
         assigned = set()
         classes = []
@@ -351,14 +382,14 @@ class PermGroup:
 
 
 def _small_generating_set(degree, sorted_elems):
-    """Greedy generating set: repeatedly adjoin the least element not yet generated."""
+    """Greedy generating set: adjoin the least element not yet generated, by Dimino joins."""
     gens = []
-    have = {Perm.identity(degree)}
+    have = {tuple(range(1, degree + 1))}
     for x in sorted_elems:
-        if x in have:
+        if x.images in have:
             continue
         gens.append(x)
-        have = set(close_generators(degree, gens, cap=len(sorted_elems)))
+        have = _join(have, [g.images for g in gens], len(sorted_elems))
         if len(have) == len(sorted_elems):
             break
     return gens
@@ -497,7 +528,7 @@ class GroupHom:
         for v in images:
             if v not in target:
                 raise NotAHomomorphismError(f"image {v} outside target")
-        edges = [(g, _right_mul(g), _right_mul(fg)) for g, fg in zip(gens, images)]
+        edges = [(g, _right_mul(g.images), _right_mul(fg.images)) for g, fg in zip(gens, images)]
         ident = tuple(range(1, source.degree + 1))
         tmap = {ident: tuple(range(1, target.degree + 1))}
         queue = [ident]
@@ -665,11 +696,12 @@ def centralizer(g: PermGroup, x: Perm) -> PermGroup:
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     if not h <= g:
         raise NotASubgroupError("normalizer needs h <= g")
-    hset = h.element_set
+    hset = h.key()[1]
+    gens = [t.images for t in h.generators]
     out = []
     for y in g.elements:
-        yinv = y.inverse()
-        if all(y * t * yinv in hset for t in h.generators):
+        lift, mul = _conjugator(y.images)
+        if all(mul(tuple(map(lift, t))) in hset for t in gens):
             out.append(y)
     return PermGroup.from_elements(g.degree, out)
 
@@ -690,19 +722,20 @@ def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     return PermGroup.from_elements(a.degree, a.element_set & b.element_set)
 
 
-def left_coset_reps(g: PermGroup, h: PermGroup) -> tuple[dict, list[Perm]]:
-    """Map element -> least member of its coset xH, plus the sorted rep list."""
+def left_coset_reps(g: PermGroup, h: PermGroup) -> tuple[dict, list[tuple]]:
+    """The left cosets xH on image tuples: a map from each element of g to the
+    index of its coset, and the sorted list of each coset's least member."""
     if not h <= g:
         raise NotASubgroupError("cosets need h <= g")
-    rep_of = {}
+    muls = [_right_mul(t.images) for t in h.elements]
+    coset_of = {}
     reps = []
     for x in g.elements:  # sorted, so an unseen x is least in xH
-        if x in rep_of:
-            continue
-        reps.append(x)
-        for t in h.elements:
-            rep_of[x * t] = x
-    return rep_of, reps
+        x = x.images
+        if x not in coset_of:
+            coset_of.update(dict.fromkeys([mul(x) for mul in muls], len(reps)))
+            reps.append(x)
+    return coset_of, reps
 
 
 def double_cosets(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
@@ -712,24 +745,26 @@ def double_cosets(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
     """
     if not (h <= g and k <= g):
         raise NotASubgroupError("double cosets need h, k <= g")
-    rep_of, reps = left_coset_reps(g, k)
+    coset_of, reps = left_coset_reps(g, k)
+    gens = [t.images for t in h.generators]
     # H acts on the left cosets xK; each H-orbit is one double coset.
     seen = set()
     out = []
-    for r in reps:  # reps sorted, so the first rep hit in an orbit is least
+    for r in range(len(reps)):  # reps sorted, so the first one hit in an orbit is least
         if r in seen:
             continue
         orbit = {r}
         queue = [r]
         for c in queue:
-            for t in h.generators:
-                c2 = rep_of[t * c]
+            mul = _right_mul(reps[c])  # t -> t x for the coset x K
+            for t in gens:
+                c2 = coset_of[mul(t)]
                 if c2 not in orbit:
                     orbit.add(c2)
                     queue.append(c2)
         seen |= orbit
-        out.append(min(orbit))
-    return sorted(out)
+        out.append(Perm._from_images(reps[r]))
+    return out
 
 
 def fused_pairs(h: PermGroup, g: PermGroup) -> list[tuple[Perm, Perm]]:

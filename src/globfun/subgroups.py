@@ -7,8 +7,9 @@ orbit of the normalizer N_G(H) on the cyclic subgroups not in H, one <c>
 from that orbit gives the join <H, c>.  That suffices because
 <H, c^n> = <H, c>^n for n in N_G(H), and every non-cyclic subgroup K is
 <M, c> for a maximal subgroup M of K and any c in K outside M.  A join is
-built one coset of H at a time from H's element list (Dimino), not closed
-again from the identity.
+built one coset of H at a time (Dimino, `perms._join`), not closed again
+from the identity.  Element sets are frozensets of image tuples, the format
+`PermGroup.key()` holds; `Perm` objects are built only for representatives.
 
 A join whose element set is new starts a class; its conjugacy orbit is
 computed once, then, by conjugating with the generators of the group.  The
@@ -21,7 +22,7 @@ not a condition to handle.
 from __future__ import annotations
 
 from .errors import CapExceededError, MathCheckError, NotASubgroupError
-from .perms import Perm, PermGroup, left_coset_reps
+from .perms import Perm, PermGroup, _conjugator, _join, _right_mul, left_coset_reps
 
 DEFAULT_MAX_LATTICE_ORDER = 1000
 
@@ -62,13 +63,13 @@ class SubgroupLattice:
         self.classes = classes
         self._class_of = class_of
 
-    def class_of(self, h: PermGroup) -> int:
-        """Index of the class containing the subgroup h."""
+    def class_of(self, eset: frozenset) -> int:
+        """Index of the class of the subgroup with image-tuple set eset (h.key()[1])."""
         try:
-            return self._class_of[h.element_set]
+            return self._class_of[eset]
         except KeyError:
             raise MathCheckError(
-                f"subgroup of order {h.order} not found in the lattice of {self.group!r};"
+                f"subgroup of order {len(eset)} not found in the lattice of {self.group!r};"
                 " the enumeration would have to be incomplete"
             )
 
@@ -76,22 +77,17 @@ class SubgroupLattice:
         return len(self.classes)
 
 
-def _canonical_subgroup_key(eset):
-    return tuple(sorted(p.images for p in eset))
-
-
-def _cyclic_subgroups(group):
+def _cyclic_subgroups(elements):
     """Cyclic subgroups as (element set, least generator) pairs, and a map
     from each element to the index of the subgroup it generates."""
     cyclics = []
     index_of = {}
     cyclic_of = {}
-    for x in group.elements:
+    for x in elements:
+        mul = _right_mul(x)
         powers = [x]
-        y = x
-        while not y.is_identity():
-            y = y * x
-            powers.append(y)
+        while powers[-1] != elements[0]:  # sorted: the identity first
+            powers.append(mul(powers[-1]))
         eset = frozenset(powers)
         if eset not in index_of:
             index_of[eset] = len(cyclics)
@@ -100,33 +96,14 @@ def _cyclic_subgroups(group):
     return cyclics, cyclic_of
 
 
-def _extend(hset, gens):
-    """Element set of <gens>, given the element set of the subgroup H
-    generated by all of `gens` but the last (Dimino's algorithm).
-
-    The join is built one right coset H x at a time: a coset representative
-    times a generator that lands outside the known elements brings in a
-    whole new coset.
-    """
-    found = set(hset)
-    reps = [Perm.identity(gens[0].degree)]
-    for x in reps:  # reps grows while it is read
-        for s in gens:
-            y = x * s
-            if y not in found:
-                found.update(h * y for h in hset)
-                reps.append(y)
-    return frozenset(found)
-
-
-def _conjugacy_orbit(eset, gens):
-    """All conjugates of a subgroup, by conjugation with (g, g^-1) pairs."""
+def _conjugacy_orbit(eset, steps):
+    """All conjugates of a subgroup, by the generators' (lift, mul) conjugators."""
     orbit = {eset}
     stack = [eset]
     while stack:
         cur = stack.pop()
-        for g, ginv in gens:
-            img = frozenset(g * x * ginv for x in cur)
+        for lift, mul in steps:
+            img = frozenset([mul(tuple(map(lift, x))) for x in cur])
             if img not in orbit:
                 orbit.add(img)
                 stack.append(img)
@@ -144,46 +121,47 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
         return hit
 
     degree = group.degree
-    gens = [(g, g.inverse()) for g in group.generators]
+    elements = [x.images for x in group.elements]  # sorted: the identity first
+    steps = [_conjugator(g.images) for g in group.generators]
     known = set()  # every subgroup found so far, as an element set
     orbits = []  # each class found, as the set of its members, in discovery order
     queue = []  # (element set, generator list) of one member per class
 
     def add_class(eset, sgens):
-        orbit = _conjugacy_orbit(eset, gens)
+        orbit = _conjugacy_orbit(eset, steps)
         known.update(orbit)
         orbits.append(orbit)
         queue.append((eset, sgens))
 
-    cyclics, cyclic_of = _cyclic_subgroups(group)
+    cyclics, cyclic_of = _cyclic_subgroups(elements)
     for eset, c in cyclics:
         if eset not in known:
             add_class(eset, [c])
 
-    inverse = {x: x.inverse() for x in group.elements}
+    conjugators = [_conjugator(g) for g in elements]
     for hset, hgens in queue:  # the queue grows while it is read
         normalizer = [
-            (g, inverse[g])
-            for g in group.elements
-            if all(g * h * inverse[g] in hset for h in hgens)
+            (lift, mul)
+            for lift, mul in conjugators
+            if all(mul(tuple(map(lift, h))) in hset for h in hgens)
         ]
         done = set()
         for k, (_, c) in enumerate(cyclics):
             if k in done or c in hset:
                 continue
             # one cyclic subgroup per N(H)-orbit: <H, c^n> = <H, c>^n
-            done.update(cyclic_of[n * c * ninv] for n, ninv in normalizer)
+            done.update(cyclic_of[mul(tuple(map(lift, c)))] for lift, mul in normalizer)
             jgens = hgens + [c]
-            jset = _extend(hset, jgens)
+            jset = _join(hset, jgens, group.order)
             if jset not in known:
                 add_class(jset, jgens)
 
-    raw_classes = [(min(orbit, key=_canonical_subgroup_key), orbit) for orbit in orbits]
-    raw_classes.sort(key=lambda t: (len(t[0]), _canonical_subgroup_key(t[0])))
+    raw_classes = [(min(orbit, key=sorted), orbit) for orbit in orbits]
+    raw_classes.sort(key=lambda t: (len(t[0]), sorted(t[0])))
     classes = []
     class_of = {}
     for idx, (rep, orbit) in enumerate(raw_classes):
-        sub = PermGroup.from_elements(degree, rep)
+        sub = PermGroup.from_elements(degree, map(Perm._from_images, rep))
         classes.append(SubgroupClass(group, sub, idx, len(orbit)))
         for member in orbit:
             class_of[member] = idx
@@ -203,13 +181,11 @@ def table_of_marks(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER):
     lat = subgroup_classes(group, cap)
     marks = []
     for ci in lat.classes:
-        rep_of, reps = left_coset_reps(group, ci.representative)
+        coset_of, reps = left_coset_reps(group, ci.representative)
+        muls = [_right_mul(r) for r in reps]  # t -> t r, t acting on the coset r H
         row = []
         for cj in lat.classes:
-            fixed = 0
-            for r in reps:
-                if all(rep_of[t * r] == r for t in cj.representative.generators):
-                    fixed += 1
-            row.append(fixed)
+            gens = [t.images for t in cj.representative.generators]
+            row.append(sum(all(coset_of[mul(t)] == i for t in gens) for i, mul in enumerate(muls)))
         marks.append(row)
     return lat, marks

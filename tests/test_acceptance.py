@@ -160,7 +160,7 @@ def test_criterion_06_decompose_round_trip(capsys, burnside, repring):
 def test_criterion_07_category_sections(capsys):
     bad = []
     reports = {}
-    for n in (1, 2, 3, 4):
+    for n in (1, 2, 3, 4, 5):
         rep = reports[n] = section_of_restriction(n)
         istar = BurnsideCatMorphism.restriction(standard_inclusion(n))
         ident = BurnsideCatMorphism.identity(symmetric_group(n - 1))

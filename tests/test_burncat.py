@@ -71,7 +71,7 @@ def test_basis_from_trivial_source_is_subgroup_classes():
             m = BurnsideCatMorphism(S[1], S[n], [(p, 1)])
             col = [row[0] for row in m.action_on(a).matrix]
             want = [0] * len(lat.classes)
-            want[lat.class_of(p.subgroup)] = 1
+            want[lat.class_of(p.subgroup.key()[1])] = 1
             assert col == want
 
 
@@ -257,13 +257,13 @@ def test_represented_functor_is_burnside_at_trivial_group():
         lat = subgroup_classes(g)
         assert rep.value(g).rank == a.value(g).rank
         # match the two basis orders through the subgroup classes
-        to_class = [lat.class_of(p.subgroup) for p in rep.basis(g)]
+        to_class = [lat.class_of(p.subgroup.key()[1]) for p in rep.basis(g)]
         assert sorted(to_class) == list(range(len(lat.classes)))
         inc = standard_inclusion(n)
         got = rep.res(inc).matrix
         want = a.res(inc).matrix
         lat_prev = subgroup_classes(S[n - 1])
-        src_map = [lat_prev.class_of(p.subgroup) for p in rep.basis(S[n - 1])]
+        src_map = [lat_prev.class_of(p.subgroup.key()[1]) for p in rep.basis(S[n - 1])]
         for i, ci in enumerate(src_map):
             for j, cj in enumerate(to_class):
                 assert got[i][j] == want[ci][cj]

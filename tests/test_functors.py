@@ -5,6 +5,8 @@ Sym(2) has two subgroup classes, the two-element set Sym(2)/e restricts to
 two free points, and the projection example's stabilizer is e x Sym(2).
 """
 
+import random
+
 import pytest
 
 from globfun.burnside import BurnsideFunctor
@@ -19,9 +21,12 @@ from globfun.functors import (
     terminal_hom,
     verify_axioms,
 )
+from globfun.linalg import zeros
 from globfun.perms import (
     GroupHom,
     Perm,
+    PermGroup,
+    conjugate_subgroup,
     fixed_last_point_copy,
     restrict_to_block,
     standard_inclusion,
@@ -30,6 +35,7 @@ from globfun.perms import (
     young_two_block,
 )
 from globfun.repring import RepRingFunctor
+from globfun.subgroups import subgroup_classes
 
 
 def test_free_abelian_labels_distinct():
@@ -75,6 +81,62 @@ def test_burnside_projection_example():
     lab = m.target.labels[col.index(1)]
     assert col.count(1) == 1 and sum(col) == 1
     assert lab == "[G/<(3 4)>]"
+
+
+def reference_res_matrix(alpha):
+    """The Burnside restriction matrix by Perm multiplication, with each
+    stabilizer built by from_elements, the oracle for
+    BurnsideFunctor._res_matrix, which works on image tuples."""
+    k, g = alpha.source, alpha.target
+    lat_g, lat_k = subgroup_classes(g), subgroup_classes(k)
+    matrix = zeros(len(lat_k), len(lat_g))
+    for j, cls in enumerate(lat_g.classes):
+        rep_of, reps = {}, []
+        for x in g.elements:
+            if x not in rep_of:
+                reps.append(x)
+                rep_of.update((x * t, x) for t in cls.representative.elements)
+        todo = dict.fromkeys(reps)
+        while todo:
+            start, _ = todo.popitem()
+            orbit = {start}
+            frontier = [start]
+            while frontier:
+                r = frontier.pop()
+                for x in k.generators:
+                    nxt = rep_of[alpha(x) * r]
+                    if nxt not in orbit:
+                        orbit.add(nxt)
+                        todo.pop(nxt, None)
+                        frontier.append(nxt)
+            stab = PermGroup.from_elements(
+                k.degree, [x for x in k.elements if rep_of[alpha(x) * start] == start]
+            )
+            assert stab.order * len(orbit) == k.order
+            matrix[lat_k.class_of(stab.key()[1])][j] += 1
+    return matrix
+
+
+def test_burnside_res_matches_reference_on_probe():
+    probe = standard_probe(4)
+    assert len(probe.homs) > 40
+    for alpha in probe.homs:
+        assert BurnsideFunctor()._res_matrix(alpha) == reference_res_matrix(alpha)
+
+
+def test_burnside_res_matches_reference_on_conjugations():
+    # x |-> t x t^-1 from a random subgroup H of Sym(n) onto tHt^-1, and
+    # into Sym(n) itself
+    rng = random.Random(5)
+    for _ in range(30):
+        n = rng.choice([3, 4, 5])
+        g = symmetric_group(n)
+        h = rng.choice(subgroup_classes(g).classes).representative
+        h = conjugate_subgroup(h, rng.choice(g.elements))
+        t = rng.choice(g.elements)
+        for target in (conjugate_subgroup(h, t), g):
+            alpha = GroupHom.conjugation(h, target, t)
+            assert BurnsideFunctor()._res_matrix(alpha) == reference_res_matrix(alpha)
 
 
 def test_burnside_value_ranks():

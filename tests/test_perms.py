@@ -16,6 +16,7 @@ from globfun.errors import (
     CapExceededError,
     InvalidPermutationError,
     NotAHomomorphismError,
+    NotASubgroupError,
     UsageError,
 )
 from globfun.perms import (
@@ -30,6 +31,7 @@ from globfun.perms import (
     fixed_last_point_copy,
     fused_pairs,
     intersection,
+    left_coset_reps,
     normalizer,
     product_group,
     parse_group_spec,
@@ -244,6 +246,133 @@ def test_group_hom_matches_reference(case):
         assert type(v) is Perm and v.degree == target.degree and v._hash == hash(v.images)
     # equal images are one shared Perm value
     assert len({id(v) for v in hom.mapping.values()}) == len(set(hom.mapping.values()))
+
+
+def reference_left_coset_reps(g, h):
+    """Left cosets by Perm multiplication, the oracle for left_coset_reps,
+    which indexes them on image tuples: element -> least member of its coset
+    xH, and the sorted list of those least members."""
+    rep_of = {}
+    reps = []
+    for x in g.elements:
+        if x in rep_of:
+            continue
+        reps.append(x)
+        for t in h.elements:
+            rep_of[x * t] = x
+    return rep_of, reps
+
+
+def reference_double_cosets(g, h, k):
+    """H-orbits on the cosets xK by Perm multiplication, each given by its
+    least element, the oracle for double_cosets."""
+    rep_of, reps = reference_left_coset_reps(g, k)
+    seen = set()
+    out = []
+    for r in reps:
+        if r in seen:
+            continue
+        orbit = {r}
+        frontier = [r]
+        while frontier:
+            c = frontier.pop()
+            for t in h.generators:
+                c2 = rep_of[t * c]
+                if c2 not in orbit:
+                    orbit.add(c2)
+                    frontier.append(c2)
+        seen |= orbit
+        out.append(min(orbit))
+    return sorted(out)
+
+
+def reference_normalizer(g, h):
+    """N_g(h) by Perm multiplication, the oracle for normalizer."""
+    out = []
+    for y in g.elements:
+        yinv = y.inverse()
+        if all(y * t * yinv in h.element_set for t in h.generators):
+            out.append(y)
+    return out
+
+
+def reference_generating_set(degree, sorted_elems):
+    """The greedy generating set of from_elements, each step closed again
+    from the identity, the oracle for its Dimino joins."""
+    gens = []
+    have = {Perm.identity(degree)}
+    for x in sorted_elems:
+        if x in have:
+            continue
+        gens.append(x)
+        have = set(reference_close(degree, gens, cap=len(sorted_elems)))
+        if len(have) == len(sorted_elems):
+            break
+    return gens
+
+
+@st.composite
+def subgroup_cases(draw):
+    """A random group of degree 0-7 and two subgroups, each generated by up
+    to two of its elements."""
+    degree, gens = draw(generator_sets())
+    g = PermGroup(degree, gens)
+    h, k = (PermGroup(degree, draw(st.lists(st.sampled_from(g.elements), max_size=2)))
+            for _ in range(2))
+    return g, h, k
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(subgroup_cases())
+def test_cosets_and_normalizer_match_reference(case):
+    g, h, k = case
+    coset_of, reps = left_coset_reps(g, h)
+    rep_of, want = reference_left_coset_reps(g, h)
+    assert reps == [r.images for r in want]
+    assert len(coset_of) == g.order
+    assert all(reps[coset_of[x.images]] == rep_of[x].images for x in g.elements)
+    assert double_cosets(g, h, k) == reference_double_cosets(g, h, k)
+    norm = normalizer(g, h)
+    assert norm.elements == tuple(reference_normalizer(g, h))
+    assert norm.key() == (g.degree, frozenset(x.images for x in norm.elements))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(subgroup_cases())
+def test_generating_set_matches_reference(case):
+    g, h, _ = case
+    for group in (g, h):
+        built = PermGroup.from_elements(group.degree, reversed(group.elements))
+        assert built.elements == group.elements and built.key() == group.key()
+        assert built.generators == tuple(reference_generating_set(group.degree, group.elements))
+        # the generators are the group's own element objects
+        own = {id(x) for x in built.elements}
+        assert all(id(x) in own for x in built.generators)
+
+
+@pytest.mark.parametrize(
+    "degree,elements",
+    [
+        (3, [Perm((1, 2, 3)), Perm((2, 1))]),
+        (2, [Perm((1, 2)), Perm((2, 3, 1))]),
+        (3, [Perm((1, 2)), Perm((2, 1))]),
+    ],
+    ids=["one-smaller", "one-larger", "all-smaller"],
+)
+def test_from_elements_rejects_other_degrees(degree, elements):
+    with pytest.raises(UsageError, match=r"^element degree \d+ != \d+$"):
+        PermGroup.from_elements(degree, elements)
+
+
+def test_from_elements_rejects_non_subgroups():
+    s3 = symmetric_group(3)
+    with pytest.raises(NotASubgroupError, match="identity"):
+        PermGroup.from_elements(3, [Perm((2, 1, 3))])
+    with pytest.raises(NotASubgroupError, match="inverse"):
+        PermGroup.from_elements(3, [s3.identity, Perm((2, 3, 1))])
+    # closed under inverses but not under products: the join passes the cap
+    with pytest.raises(CapExceededError):
+        PermGroup.from_elements(3, [s3.identity, Perm((2, 1, 3)), Perm((1, 3, 2))])
 
 
 @pytest.mark.parametrize("degree", [0, 1])

@@ -11,7 +11,7 @@ import random
 
 import pytest
 
-from globfun.errors import CapExceededError
+from globfun.errors import CapExceededError, MathCheckError
 from globfun.perms import (
     PermGroup,
     Perm,
@@ -90,7 +90,8 @@ def test_lattice_matches_brute_force(make):
         assert cls.label() == f"<{body}>"
         assert cls.class_size == len(orbit)
         class_of.update(dict.fromkeys(orbit, cls.index))
-    assert lat._class_of == class_of
+    # the lattice keys its subgroups by element sets of image tuples
+    assert lat._class_of == {frozenset(p.images for p in m): i for m, i in class_of.items()}
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 19)])
@@ -118,7 +119,19 @@ def test_class_of_lookup():
     # every conjugate of every representative resolves to its own class
     for c in lat.classes:
         for t in g.elements[:6]:
-            assert lat.class_of(conjugate_subgroup(c.representative, t)) == c.index
+            assert lat.class_of(conjugate_subgroup(c.representative, t).key()[1]) == c.index
+
+
+def test_class_of_rejects_sets_that_are_not_subgroups():
+    lat = subgroup_classes(symmetric_group(3))
+    not_subgroups = [
+        {(2, 1, 3)},  # no identity
+        {(1, 2, 3), (2, 3, 1)},  # no inverse
+        {(1, 2, 3), (2, 1, 3), (1, 3, 2)},  # not closed
+    ]
+    for eset in not_subgroups:
+        with pytest.raises(MathCheckError, match="not found in the lattice"):
+            lat.class_of(frozenset(eset))
 
 
 def _check_random_subgroups(n, draws):
@@ -128,7 +141,7 @@ def _check_random_subgroups(n, draws):
     for _ in range(draws):
         seeds = rng.sample(g.elements, rng.choice([1, 2]))
         h = PermGroup(n, seeds)
-        idx = lat.class_of(h)
+        idx = lat.class_of(h.key()[1])
         assert lat.classes[idx].order == h.order
 
 
