@@ -89,8 +89,7 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
     norm = normalizer(target, h)
     best = None
     for g in left_coset_reps(target, norm)[1]:
-        lift, mul = _conjugator(g)
-        skey = tuple(sorted([mul(tuple(map(lift, x))) for x in h.key()[1]]))
+        skey = tuple(sorted(map(_conjugator(g), h.key()[1])))
         if best is None or skey < best[0]:
             best = (skey, g)
     skey, g0 = best
@@ -102,26 +101,26 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
     found = {}  # generator image tuple -> (pulled-back values on skey, k's conjugator)
     for m in norm.elements:
         # y |-> g^-1 y g for g = g0 m^-1, as m^-1 runs over N with m
-        lift, mul = _conjugator(to_ginv(m.images))
-        vals = tuple([table[mul(tuple(map(lift, s)))] for s in subgens])
+        conj = _conjugator(to_ginv(m.images))
+        vals = tuple([table[conj(s)] for s in subgens])
         if vals in found:
             continue
-        base = [table[mul(tuple(map(lift, y)))] for y in skey]
-        for klift, kmul in kconj:
-            imgs = tuple([kmul(tuple(map(klift, v))) for v in vals])
+        base = [table[conj(y)] for y in skey]
+        for kc in kconj:
+            imgs = tuple(map(kc, vals))
             if imgs not in found:
-                found[imgs] = (base, klift, kmul)
+                found[imgs] = (base, kc)
     # the least value table, compared one entry at a time: distinct image
     # tuples have distinct tables, so one candidate is left at the end
     cands = [(imgs, *rest) for imgs, rest in found.items()]
     for i in range(1, len(skey)):
         if len(cands) == 1:
             break
-        col = [kmul(tuple(map(klift, base[i]))) for _, base, klift, kmul in cands]
+        col = [kc(base[i]) for _, base, kc in cands]
         least = min(col)
         cands = [c for c, v in zip(cands, col) if v == least]
-    images, base, klift, kmul = cands[0]
-    hkey = tuple([kmul(tuple(map(klift, v))) for v in base])
+    images, base, kc = cands[0]
+    hkey = tuple(map(kc, base))
     hom = GroupHom(sub, source, [Perm._from_images(v) for v in images])
     return CanonicalPair(sub, hom, (skey, hkey))
 
@@ -359,22 +358,12 @@ def section_of_restriction(n: int) -> SectionReport:
     prev = symmetric_group(n - 1)
     cur = symmetric_group(n)
     rep = RepresentedFunctor(prev)
-    istar = BurnsideCatMorphism.restriction(standard_inclusion(n))
+    inc = standard_inclusion(n)
+    istar = BurnsideCatMorphism.restriction(inc)
     basis = rep.basis(cur)
-    target_basis = rep.basis(prev)
-    index = {p.key: i for i, p in enumerate(target_basis)}
-    columns = []
-    for p in basis:
-        composite = istar.compose(BurnsideCatMorphism(prev, cur, [(p, 1)]))
-        col = [0] * len(target_basis)
-        for key, (_, coeff) in composite.terms.items():
-            col[index[key]] = coeff
-        columns.append(col)
-    matrix = [list(row) for row in zip(*columns)]
+    matrix = rep.res(inc).matrix
     ident = BurnsideCatMorphism.identity(prev)
-    rhs = [0] * len(target_basis)
-    rhs[index[next(iter(ident.terms))]] = 1
-    x = solve_exact(matrix, rhs)
+    x = solve_exact(matrix, rep._coords(ident, prev))
     if x is None:
         raise MathCheckError("composition with the restriction morphism is not onto"
                              " the identity; this contradicts the splitting")

@@ -2,15 +2,16 @@
 
 The value at G is free abelian on the transitive G-sets [G/H], one basis
 vector per conjugacy class of subgroups.  Restriction along alpha: K -> G
-regards G/H as a K-set through alpha and decomposes it into orbits, each
-identified by the conjugacy class of its stabilizer.  Transfer along H <= G
+regards G/H as a K-set through alpha and decomposes it into orbits
+(`perms._orbits` on the least members of the cosets), each identified by
+the conjugacy class of its stabilizer.  Transfer along H <= G
 just re-reads an H-set as a G-set on the same cosets: [H/L] goes to [G/L].
 """
 
 from .errors import MathCheckError
 from .functors import FreeAbelian, GlobalFunctor
 from .linalg import zeros
-from .perms import PermGroup, _right_mul, left_coset_reps
+from .perms import PermGroup, _coset_moves, _orbits, _right_mul, left_coset_reps
 from .subgroups import DEFAULT_MAX_LATTICE_ORDER, subgroup_classes
 
 
@@ -37,21 +38,10 @@ class BurnsideFunctor(GlobalFunctor):
         matrix = zeros(len(lat_k), len(lat_g))
         for j, cls in enumerate(lat_g.classes):
             coset_of, reps = left_coset_reps(g, cls.representative)
-            todo = dict.fromkeys(range(len(reps)))
-            while todo:
-                start, _ = todo.popitem()
-                orbit = {start}
-                frontier = [start]
-                while frontier:
-                    mul = _right_mul(reps[frontier.pop()])
-                    for a in gen_images:
-                        nxt = coset_of[mul(a)]
-                        if nxt not in orbit:
-                            orbit.add(nxt)
-                            todo.pop(nxt, None)
-                            frontier.append(nxt)
+            for orbit in _orbits(reps, _coset_moves(coset_of, reps, gen_images)):
                 # x fixes the coset r H when alpha(x) r lies in it
-                mul = _right_mul(reps[start])
+                start = coset_of[orbit[0]]
+                mul = _right_mul(orbit[0])
                 fixing = {v for v in values if coset_of[mul(v.images)] == start}
                 stab = frozenset([x.images for x, fx in alpha.mapping.items() if fx in fixing])
                 if len(stab) * len(orbit) != k.order:

@@ -16,7 +16,11 @@ Kernel convention: the hot loops (closure, the homomorphism pass, conjugacy
 classes, cosets, normalizers, the checks of `from_elements`) run on plain
 1-based image tuples and build `Perm` objects only at the API boundary.
 x -> x * p is one cached getter, `_right_mul(p)`, as (x * p)(i) = x(p(i));
-conjugation is a (lift, right-multiply) pair, `_conjugator(g)`.
+y -> g y g^-1 is one callable, `_conjugator(g)`.  Every orbit of a group
+action (points, conjugacy classes, double cosets, the conjugates of a
+subgroup, Burnside restriction) is one call of `_orbits` with one map per
+generator; left cosets are acted on through their least member
+(`_coset_moves`).
 """
 
 from __future__ import annotations
@@ -68,6 +72,7 @@ class Perm:
     @staticmethod
     def from_cycles(degree: int, cycles) -> "Perm":
         images = list(range(1, degree + 1))
+        used = set()
         for cyc in cycles:
             cyc = list(cyc)
             if len(set(cyc)) != len(cyc):
@@ -75,6 +80,9 @@ class Perm:
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 if not 1 <= a <= degree:
                     raise InvalidPermutationError(f"point {a} outside 1..{degree}")
+                if a in used:
+                    raise InvalidPermutationError(f"point {a} in two cycles")
+                used.add(a)
                 images[a - 1] = b
         return Perm(images)
 
@@ -185,9 +193,35 @@ def _inverse(p: tuple) -> tuple:
 
 
 def _conjugator(g: tuple):
-    """y -> g y g^-1 on image tuples, as the pair (lift, mul) with
-    g y g^-1 = mul(tuple(map(lift, y)))."""
-    return ((0,) + g).__getitem__, _right_mul(_inverse(g))
+    """y -> g y g^-1 on image tuples: y g^-1 by one getter, then g on each value."""
+    lift, mul = ((0,) + g).__getitem__, _right_mul(_inverse(g))
+    return lambda y: tuple(map(lift, mul(y)))
+
+
+def _extend(p: Perm, n: int) -> Perm:
+    """Re-read a permutation of degree < n as one of degree n."""
+    return Perm(p.images + tuple(range(p.degree + 1, n + 1)))
+
+
+def _orbits(points, moves):
+    """The orbits of the maps `moves` (one per generator of a finite group)
+    on `points`, ordered by first point; each lists its first point first
+    and the rest breadth-first."""
+    seen = set()
+    out = []
+    for start in points:
+        if start in seen:
+            continue
+        seen.add(start)
+        orbit = [start]
+        for x in orbit:  # grows while it is read: breadth-first order
+            for move in moves:
+                y = move(x)
+                if y not in seen:
+                    seen.add(y)
+                    orbit.append(y)
+        out.append(orbit)
+    return out
 
 
 def _join(hset, gens, cap):
@@ -322,24 +356,9 @@ class PermGroup:
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Orbits on {1..degree}, each sorted, ordered by least point."""
-        if self._orbits is not None:
-            return self._orbits
-        seen = set()
-        out = []
-        for start in range(1, self.degree + 1):
-            if start in seen:
-                continue
-            orb = {start}
-            queue = [start]
-            for pt in queue:
-                for g in self.generators:
-                    q = g(pt)
-                    if q not in orb:
-                        orb.add(q)
-                        queue.append(q)
-            seen |= orb
-            out.append(tuple(sorted(orb)))
-        self._orbits = tuple(out)
+        if self._orbits is None:
+            orbs = _orbits(range(1, self.degree + 1), self.generators)
+            self._orbits = tuple(tuple(sorted(orb)) for orb in orbs)
         return self._orbits
 
     def conjugacy_classes(self) -> tuple[tuple[Perm, ...], ...]:
@@ -349,24 +368,9 @@ class PermGroup:
         """
         if self._classes is not None:
             return self._classes
-        # z = g y g^-1 on tuples: left-multiply by g, then right by g^-1
-        steps = [_conjugator(g.images) for g in self.generators]
-        own = {x.images: x for x in self.elements}
-        assigned = set()
-        classes = []
-        for x in own:  # elements sorted, so reps come out least-first
-            if x in assigned:
-                continue
-            orb = {x}
-            queue = [x]
-            for y in queue:
-                for lift, mul in steps:
-                    z = mul(tuple(map(lift, y)))
-                    if z not in orb:
-                        orb.add(z)
-                        queue.append(z)
-            assigned |= orb
-            classes.append(tuple(own[z] for z in sorted(orb)))
+        own = {x.images: x for x in self.elements}  # sorted, so reps come out least-first
+        orbs = _orbits(own, [_conjugator(g.images) for g in self.generators])
+        classes = [tuple(own[z] for z in sorted(orb)) for orb in orbs]
         self._classes = tuple(classes)
         self._class_index = {x: i for i, cls in enumerate(classes) for x in cls}
         return self._classes
@@ -641,13 +645,8 @@ def standard_inclusion(n: int) -> GroupHom:
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    src = symmetric_group(n - 1)
-    tgt = symmetric_group(n)
-
-    def extend(p: Perm) -> Perm:
-        return Perm(p.images + tuple(range(p.degree + 1, n + 1)))
-
-    return GroupHom.from_callable(src, tgt, extend)
+    src, tgt = symmetric_group(n - 1), symmetric_group(n)
+    return GroupHom.from_callable(src, tgt, lambda p: _extend(p, n))
 
 
 def fixed_last_point_copy(n: int) -> PermGroup:
@@ -700,8 +699,8 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     gens = [t.images for t in h.generators]
     out = []
     for y in g.elements:
-        lift, mul = _conjugator(y.images)
-        if all(mul(tuple(map(lift, t))) in hset for t in gens):
+        conj = _conjugator(y.images)
+        if all(conj(t) in hset for t in gens):
             out.append(y)
     return PermGroup.from_elements(g.degree, out)
 
@@ -738,6 +737,15 @@ def left_coset_reps(g: PermGroup, h: PermGroup) -> tuple[dict, list[tuple]]:
     return coset_of, reps
 
 
+def _coset_moves(coset_of, reps, gens):
+    """For each t in gens, the map r -> least member of the coset t r H, on
+    the least members r of the left cosets `left_coset_reps` returns."""
+    return [
+        lambda r, lift=((0,) + t).__getitem__: reps[coset_of[tuple(map(lift, r))]]
+        for t in gens
+    ]
+
+
 def double_cosets(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
     """Representatives of H\\G/K, each the least element of its double coset.
 
@@ -746,25 +754,10 @@ def double_cosets(g: PermGroup, h: PermGroup, k: PermGroup) -> list[Perm]:
     if not (h <= g and k <= g):
         raise NotASubgroupError("double cosets need h, k <= g")
     coset_of, reps = left_coset_reps(g, k)
-    gens = [t.images for t in h.generators]
-    # H acts on the left cosets xK; each H-orbit is one double coset.
-    seen = set()
-    out = []
-    for r in range(len(reps)):  # reps sorted, so the first one hit in an orbit is least
-        if r in seen:
-            continue
-        orbit = {r}
-        queue = [r]
-        for c in queue:
-            mul = _right_mul(reps[c])  # t -> t x for the coset x K
-            for t in gens:
-                c2 = coset_of[mul(t)]
-                if c2 not in orbit:
-                    orbit.add(c2)
-                    queue.append(c2)
-        seen |= orbit
-        out.append(Perm._from_images(reps[r]))
-    return out
+    # H acts on the left cosets xK; each H-orbit is one double coset, and
+    # reps are sorted, so an orbit's first point is its least element.
+    moves = _coset_moves(coset_of, reps, [t.images for t in h.generators])
+    return [Perm._from_images(orbit[0]) for orbit in _orbits(reps, moves)]
 
 
 def fused_pairs(h: PermGroup, g: PermGroup) -> list[tuple[Perm, Perm]]:

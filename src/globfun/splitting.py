@@ -32,6 +32,7 @@ from .perms import (
     GroupHom,
     Perm,
     PermGroup,
+    _extend,
     all_homs,
     alternating_group,
     fused_pairs,
@@ -40,11 +41,6 @@ from .perms import (
     symmetric_group,
     young_two_block,
 )
-
-
-def _extend(p: Perm, n: int) -> Perm:
-    """Re-read a permutation of degree < n as one of degree n."""
-    return Perm(p.images + tuple(range(p.degree + 1, n + 1)))
 
 
 def kernel_basis(f: GlobalFunctor, k: int):

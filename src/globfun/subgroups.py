@@ -12,17 +12,17 @@ from the identity.  Element sets are frozensets of image tuples, the format
 `PermGroup.key()` holds; `Perm` objects are built only for representatives.
 
 A join whose element set is new starts a class; its conjugacy orbit is
-computed once, then, by conjugating with the generators of the group.  The
-lattice keeps *every* subgroup of every orbit, indexed by element set, so
-that stabilizers, intersections and preimages arising later can be matched
-to their conjugacy class by a dictionary lookup.  A failed lookup is a bug,
-not a condition to handle.
+computed once, then, by `perms._orbits` under conjugation by the generators
+of the group.  The lattice keeps *every* subgroup of every orbit, indexed
+by element set, so that stabilizers, intersections and preimages arising
+later can be matched to their conjugacy class by a dictionary lookup.  A
+failed lookup is a bug, not a condition to handle.
 """
 
 from __future__ import annotations
 
 from .errors import CapExceededError, MathCheckError, NotASubgroupError
-from .perms import Perm, PermGroup, _conjugator, _join, _right_mul, left_coset_reps
+from .perms import Perm, PermGroup, _conjugator, _join, _orbits, _right_mul, left_coset_reps
 
 DEFAULT_MAX_LATTICE_ORDER = 1000
 
@@ -96,20 +96,6 @@ def _cyclic_subgroups(elements):
     return cyclics, cyclic_of
 
 
-def _conjugacy_orbit(eset, steps):
-    """All conjugates of a subgroup, by the generators' (lift, mul) conjugators."""
-    orbit = {eset}
-    stack = [eset]
-    while stack:
-        cur = stack.pop()
-        for lift, mul in steps:
-            img = frozenset([mul(tuple(map(lift, x))) for x in cur])
-            if img not in orbit:
-                orbit.add(img)
-                stack.append(img)
-    return orbit
-
-
 def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> SubgroupLattice:
     """The subgroup lattice of `group`, conjugacy classes sorted by order
     then by a canonical key of the representative."""
@@ -122,13 +108,14 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
 
     degree = group.degree
     elements = [x.images for x in group.elements]  # sorted: the identity first
-    steps = [_conjugator(g.images) for g in group.generators]
+    # H -> g H g^-1 on element sets, one map per generator g
+    steps = [lambda s, c=_conjugator(g.images): frozenset(map(c, s)) for g in group.generators]
     known = set()  # every subgroup found so far, as an element set
-    orbits = []  # each class found, as the set of its members, in discovery order
+    orbits = []  # each class found, as the list of its members, in discovery order
     queue = []  # (element set, generator list) of one member per class
 
     def add_class(eset, sgens):
-        orbit = _conjugacy_orbit(eset, steps)
+        orbit = _orbits([eset], steps)[0]
         known.update(orbit)
         orbits.append(orbit)
         queue.append((eset, sgens))
@@ -140,17 +127,13 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
 
     conjugators = [_conjugator(g) for g in elements]
     for hset, hgens in queue:  # the queue grows while it is read
-        normalizer = [
-            (lift, mul)
-            for lift, mul in conjugators
-            if all(mul(tuple(map(lift, h))) in hset for h in hgens)
-        ]
+        normalizer = [conj for conj in conjugators if all(conj(h) in hset for h in hgens)]
         done = set()
         for k, (_, c) in enumerate(cyclics):
             if k in done or c in hset:
                 continue
             # one cyclic subgroup per N(H)-orbit: <H, c^n> = <H, c>^n
-            done.update(cyclic_of[mul(tuple(map(lift, c)))] for lift, mul in normalizer)
+            done.update(cyclic_of[conj(c)] for conj in normalizer)
             jgens = hgens + [c]
             jset = _join(hset, jgens, group.order)
             if jset not in known:

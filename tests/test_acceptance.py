@@ -7,6 +7,8 @@ memoized restriction and transfer matrices, which keeps the whole file in
 the minutes range.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -170,6 +172,12 @@ def test_criterion_07_category_sections(capsys):
     for n in (2, 3):
         if not product_section(symmetric_group(2), reports[n]).verified:
             bad.append(f"product n={n}")
+    # the bytes of `globfun --output json section --n 5`
+    text = json.dumps(reports[5].to_dict(), sort_keys=True) + "\n"
+    if hashlib.sha256(text.encode()).hexdigest() != (
+        "9d506af607e8dae58a1ac90f1f5ec8d8801f2836448ecde55ed6a486e9931a02"
+    ):
+        bad.append("n=5 report digest")
     report(capsys, 7, "sections of the restriction morphism", not bad, "; ".join(bad))
 
 

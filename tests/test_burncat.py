@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from globfun import burncat
 from globfun.burncat import (
     BurnsideCatMorphism,
     CanonicalPair,
@@ -20,7 +21,7 @@ from globfun.burncat import (
     section_of_restriction,
 )
 from globfun.burnside import BurnsideFunctor
-from globfun.errors import UsageError
+from globfun.errors import MathCheckError, UsageError
 from globfun.functors import standard_probe, verify_axioms
 from globfun.perms import (
     GroupHom,
@@ -317,6 +318,18 @@ def test_section_deterministic_and_serializable():
     assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(b.to_dict(), sort_keys=True)
     text = "\n".join(a.summary_lines())
     assert "differ" in text and "identity" in text
+
+
+def test_section_reports_pair_missing_from_basis(monkeypatch):
+    # a composite outside a (here truncated) basis is a failed check, not a KeyError
+    full = burncat.morphism_basis
+
+    def truncated(source, target):
+        return full(source, target)[:1] if target.degree == 2 else full(source, target)
+
+    monkeypatch.setattr(burncat, "morphism_basis", truncated)
+    with pytest.raises(MathCheckError, match="missing from the enumerated basis"):
+        section_of_restriction(3)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -41,6 +41,7 @@ from globfun.perms import (
     weyl_order,
     young_subgroup,
     young_two_block,
+    _orbits,
 )
 
 
@@ -62,6 +63,23 @@ def test_perm_validation():
         Perm.parse("(1 2", 3)
     with pytest.raises(InvalidPermutationError):
         Perm.parse("(1 9)", 3)
+
+
+def test_orbits_first_point_then_breadth_first():
+    a = Perm.parse("(1 2 3 4 5)", 7)
+    b = a.inverse()
+    # from 1: a, b give 2, 5; from 2: 3; from 5: 4
+    assert _orbits(range(1, 8), [a, b]) == [[1, 2, 5, 3, 4], [6], [7]]
+    assert _orbits([7, 6, 3], [a, Perm.parse("(6 7)", 7)]) == [[7, 6], [3, 4, 5, 1, 2]]
+
+
+def test_perm_parse_rejects_point_in_two_cycles():
+    # (1 2)(1 2) is the identity as a product, not the transposition
+    for text in ("(1 2)(1 2)", "(1 2)(2 3)", "(1 2)(3 1)"):
+        with pytest.raises(InvalidPermutationError, match="in two cycles"):
+            Perm.parse(text, 3)
+    with pytest.raises(InvalidPermutationError, match="point 1 in two cycles"):
+        Perm.from_cycles(2, [(1, 2), (1, 2)])
 
 
 def test_perm_mul_rejects_degree_mismatch():

@@ -6,6 +6,8 @@ so the kernel ranks must be their successive differences 1, 0, 1, 2, 7, 8;
 for the representation ring they are partition-count differences.
 """
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -100,6 +102,10 @@ def test_splitting_report_burnside_s6():
     rep = splitting_report(BurnsideFunctor(), 6)
     assert abs(rep.determinant) == 1
     assert list(rep.component_ranks) == [1] + [b - a for a, b in zip(c, c[1:])]
+    # the bytes of `globfun --output json split --functor burnside --n 6`
+    text = json.dumps(rep.to_dict(), sort_keys=True) + "\n"
+    digest = "dc252c9ed458a9887a729ccfb76da3b350636b0aa5153b3888f9f49da259de3f"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_splitting_report_repring():
