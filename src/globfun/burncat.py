@@ -27,7 +27,7 @@ assembled from the splitting machinery are returned and verified.
 
 from .errors import MathCheckError, UsageError
 from .functors import GlobalFunctor, FreeAbelian, ZMap
-from .linalg import integer_kernel, reduce_mod_lattice, solve_exact
+from .linalg import identity_matrix, integer_kernel, reduce_mod_lattice, solve_exact
 from .perms import (
     GroupHom,
     Perm,
@@ -89,13 +89,13 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
     norm = normalizer(target, h)
     best = None
     for g in left_coset_reps(target, norm)[1]:
-        skey = tuple(sorted(map(_conjugator(g), h.key()[1])))
+        skey = tuple(sorted(map(_conjugator(g), h.image_set)))
         if best is None or skey < best[0]:
             best = (skey, g)
     skey, g0 = best
     sub = PermGroup.from_elements(target.degree, map(Perm._from_images, skey))
     subgens = [s.images for s in sub.generators]
-    table = {x.images: fx.images for x, fx in alpha.mapping.items()}
+    table = alpha.table
     kconj = [_conjugator(k.images) for k in source.elements]
     to_ginv = _right_mul(_inverse(g0))  # m -> m g0^-1
     found = {}  # generator image tuple -> (pulled-back values on skey, k's conjugator)
@@ -125,9 +125,9 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
     return CanonicalPair(sub, hom, (skey, hkey))
 
 
-def morphism_basis(source: PermGroup, target: PermGroup):
+def morphism_basis(source: PermGroup, target: PermGroup, lattice_cap=DEFAULT_MAX_LATTICE_ORDER):
     """All pair classes (H <= target, alpha: H -> source), sorted by key."""
-    lat = subgroup_classes(target)
+    lat = subgroup_classes(target, lattice_cap)
     found = {}
     for cls in lat.classes:
         for alpha in all_homs(cls.representative, source):
@@ -176,7 +176,7 @@ class BurnsideCatMorphism:
         return BurnsideCatMorphism(h, g, [(pair, 1)])
 
     def __add__(self, other: "BurnsideCatMorphism") -> "BurnsideCatMorphism":
-        if (self.source.key(), self.target.key()) != (other.source.key(), other.target.key()):
+        if (self.source, self.target) != (other.source, other.target):
             raise UsageError("morphism sum needs equal endpoints")
         out = BurnsideCatMorphism(self.source, self.target, list(self.terms.values()))
         for pair, coeff in other.terms.values():
@@ -191,8 +191,8 @@ class BurnsideCatMorphism:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BurnsideCatMorphism)
-            and self.source.key() == other.source.key()
-            and self.target.key() == other.target.key()
+            and self.source == other.source
+            and self.target == other.target
             and {k: v for k, (_, v) in self.terms.items()}
             == {k: v for k, (_, v) in other.terms.items()}
         )
@@ -202,7 +202,7 @@ class BurnsideCatMorphism:
 
     def compose(self, first: "BurnsideCatMorphism") -> "BurnsideCatMorphism":
         """self o first, rewriting restriction-past-transfer double cosets."""
-        if first.target.key() != self.source.key():
+        if first.target != self.source:
             raise UsageError("morphisms not composable")
         mid = self.source
         out = BurnsideCatMorphism(first.source, self.target)
@@ -261,16 +261,17 @@ class RepresentedFunctor(GlobalFunctor):
     and gives the splitting machinery a hold on morphism groups themselves.
     """
 
-    def __init__(self, l_group: PermGroup):
+    def __init__(self, l_group: PermGroup, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER):
         super().__init__()
         self.l_group = l_group
         self.name = f"represented({l_group.name or l_group.degree})"
+        self._cap = lattice_cap
         self._bases = {}
 
     def basis(self, g: PermGroup):
-        k = g.key()
+        k = g.image_set
         if k not in self._bases:
-            self._bases[k] = morphism_basis(self.l_group, g)
+            self._bases[k] = morphism_basis(self.l_group, g, self._cap)
         return self._bases[k]
 
     def _coords(self, m: BurnsideCatMorphism, g: PermGroup):
@@ -296,7 +297,7 @@ class RepresentedFunctor(GlobalFunctor):
         """The matrix of composing with m, from the basis at src to the one at dst."""
         cols = [
             self._coords(m.compose(self._as_morphism(src, unit)), dst)
-            for unit in _units(len(self.basis(src)))
+            for unit in identity_matrix(len(self.basis(src)))
         ]
         return [list(row) for row in zip(*cols)] if cols else [[] for _ in self.basis(dst)]
 
@@ -306,10 +307,6 @@ class RepresentedFunctor(GlobalFunctor):
 
     def _tr_matrix(self, h, g):
         return self._composition_matrix(BurnsideCatMorphism.transfer(h, g), h, g)
-
-
-def _units(n):
-    return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
 
 
 class SectionReport:
@@ -343,7 +340,7 @@ class SectionReport:
         }
 
 
-def section_of_restriction(n: int) -> SectionReport:
+def section_of_restriction(n: int, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER) -> SectionReport:
     """A right inverse of i_n^* in the category, certified by composition.
 
     Solves the integer system over the basis of morphisms from Sym(n-1) to
@@ -351,13 +348,14 @@ def section_of_restriction(n: int) -> SectionReport:
     is deterministic.  A second section is assembled from the level-by-level
     decomposition of the identity in the represented functor, which shares
     its morphism bases with the solver; both composites are checked against
-    the identity morphism, exactly.
+    the identity morphism, exactly.  Every subgroup lattice it builds
+    stops at `lattice_cap`.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
     prev = symmetric_group(n - 1)
     cur = symmetric_group(n)
-    rep = RepresentedFunctor(prev)
+    rep = RepresentedFunctor(prev, lattice_cap)
     inc = standard_inclusion(n)
     istar = BurnsideCatMorphism.restriction(inc)
     basis = rep.basis(cur)

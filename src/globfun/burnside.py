@@ -33,8 +33,8 @@ class BurnsideFunctor(GlobalFunctor):
         k, g = alpha.source, alpha.target
         lat_g = self._lattice(g)
         lat_k = self._lattice(k)
-        values = set(alpha.mapping.values())  # one shared Perm per distinct value
-        gen_images = [alpha(x).images for x in k.generators]
+        values = set(alpha.table.values())
+        gen_images = [v.images for v in alpha.gen_images]
         matrix = zeros(len(lat_k), len(lat_g))
         for j, cls in enumerate(lat_g.classes):
             coset_of, reps = left_coset_reps(g, cls.representative)
@@ -42,8 +42,8 @@ class BurnsideFunctor(GlobalFunctor):
                 # x fixes the coset r H when alpha(x) r lies in it
                 start = coset_of[orbit[0]]
                 mul = _right_mul(orbit[0])
-                fixing = {v for v in values if coset_of[mul(v.images)] == start}
-                stab = frozenset([x.images for x, fx in alpha.mapping.items() if fx in fixing])
+                fixing = {v for v in values if coset_of[mul(v)] == start}
+                stab = frozenset([x for x, fx in alpha.table.items() if fx in fixing])
                 if len(stab) * len(orbit) != k.order:
                     raise MathCheckError("orbit size does not match stabilizer index")
                 matrix[lat_k.class_of(stab)][j] += 1
@@ -54,5 +54,5 @@ class BurnsideFunctor(GlobalFunctor):
         lat_g = self._lattice(g)
         matrix = zeros(len(lat_g), len(lat_h))
         for j, cls in enumerate(lat_h.classes):
-            matrix[lat_g.class_of(cls.representative.key()[1])][j] = 1
+            matrix[lat_g.class_of(cls.representative.image_set)][j] = 1
         return matrix

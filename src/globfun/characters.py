@@ -134,7 +134,6 @@ class CharacterTable:
         "class_sizes",
         "matrix",
         "_type_index",
-        "_elem_index",
     )
 
     def __init__(self, group, blocks, labels, class_types, class_reps, class_sizes, matrix):
@@ -146,7 +145,6 @@ class CharacterTable:
         self.class_sizes = class_sizes
         self.matrix = matrix
         self._type_index = {t: i for i, t in enumerate(class_types)}
-        self._elem_index = None
 
     @property
     def rank(self) -> int:
@@ -269,8 +267,7 @@ def _build_table(group: PermGroup, blocks) -> CharacterTable:
 
 def character_table(group: PermGroup) -> CharacterTable:
     """The table of any block product group, memoized by group identity."""
-    key = group.key()
-    hit = _table_memo.get(key)
+    hit = _table_memo.get(group.image_set)
     if hit is not None:
         return hit
     blocks = block_structure(group)
@@ -278,7 +275,7 @@ def character_table(group: PermGroup) -> CharacterTable:
     if total > MAX_TABLE_N:
         raise UnsupportedGroupError(f"table for moved degree {total} exceeds cap {MAX_TABLE_N}")
     table = _build_table(group, blocks)
-    _table_memo[key] = table
+    _table_memo[group.image_set] = table
     return table
 
 
@@ -294,7 +291,7 @@ def char_table_symmetric(n: int) -> CharacterTable:
 
 def restrict_classfunction(phi: ClassFunction, alpha: GroupHom) -> ClassFunction:
     """phi o alpha along any homomorphism into phi's group."""
-    if alpha.target.key() != phi.group.key():
+    if alpha.target != phi.group:
         raise UsageError("hom target must be the class function's group")
     src_table = character_table(alpha.source)
     tgt_table = phi.table
@@ -312,7 +309,7 @@ def _fusion_counts(h: PermGroup, g: PermGroup):
     That is (|G| / |G-class i|) * |H-class j| when H-class j lies in G-class
     i, and 0 otherwise.
     """
-    key = (h.key(), g.key())
+    key = (h.image_set, g.image_set)
     hit = _fusion_memo.get(key)
     if hit is not None:
         return hit

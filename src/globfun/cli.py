@@ -11,6 +11,7 @@ import json
 import os
 import random
 import sys
+from itertools import chain
 
 from .burncat import product_section, section_of_restriction
 from .burnside import BurnsideFunctor
@@ -18,7 +19,7 @@ from .cache import Cache
 from .characters import char_table_symmetric
 from .errors import CapExceededError, GlobfunError, MathCheckError, NonIntegralError, UsageError
 from .functors import standard_probe, verify_axioms
-from .perms import parse_group_spec, symmetric_group
+from .perms import _check_order_factors, parse_group_spec, symmetric_group
 from .repring import RepRingFunctor
 from .splitting import (
     decompose,
@@ -75,12 +76,7 @@ def _check_order(
     caps = {"group order": config.max_group_order}
     if lattice:
         caps["subgroup lattice order"] = config.max_lattice_order
-    order = 1
-    for k in (factor, *range(3 if alternating else 2, n + 1)):
-        order *= k
-        for what, cap in caps.items():
-            if order > cap:
-                raise CapExceededError(what, cap)
+    _check_order_factors(chain([factor], range(3 if alternating else 2, n + 1)), caps)
 
 
 def _functor(config: Config, name: str):
@@ -189,7 +185,7 @@ def _cmd_decompose(config, cache, args):
 def _cmd_section(config, cache, args):
     g = _group(config, args.with_product_group) if args.with_product_group else None
     _check_order(config, args.n, True, factor=g.order if g is not None else 1)
-    report = section_of_restriction(args.n)
+    report = section_of_restriction(args.n, lattice_cap=config.max_lattice_order)
     payload = report.to_dict()
     lines = report.summary_lines()
     if g is not None:

@@ -134,8 +134,8 @@ class GlobalFunctor:
 
     Subclasses provide _value(G) -> FreeAbelian, _res_matrix(alpha) and
     _tr_matrix(H, G) returning raw integer matrices.  This class owns the
-    memo tables (keyed by canonical group and homomorphism descriptions, and
-    for the splitting layer's kernel bases and psi maps by level), shape
+    memo tables (keyed by group image sets and by `GroupHom.key`, and for
+    the splitting layer's kernel bases and psi maps by level), shape
     checks, and the subgroup precondition on transfers.
     """
 
@@ -150,10 +150,9 @@ class GlobalFunctor:
         self._psi_memo = {}
 
     def value(self, g: PermGroup) -> FreeAbelian:
-        k = g.key()
-        got = self._value_memo.get(k)
+        got = self._value_memo.get(g.image_set)
         if got is None:
-            got = self._value_memo[k] = self._value(g)
+            got = self._value_memo[g.image_set] = self._value(g)
         return got
 
     def res(self, alpha: GroupHom) -> ZMap:
@@ -169,7 +168,7 @@ class GlobalFunctor:
         """The transfer F(H) -> F(G) along a subgroup inclusion."""
         if not h <= g:
             raise NotASubgroupError("transfer needs an actual subgroup")
-        k = (g.key(), h.key())
+        k = (g.image_set, h.image_set)
         got = self._tr_memo.get(k)
         if got is None:
             got = ZMap(self.value(h), self.value(g), self._tr_matrix(h, g))
@@ -197,7 +196,7 @@ class CorruptedTransfer(GlobalFunctor):
         super().__init__()
         self.name = inner.name + "-corrupted"
         self._inner = inner
-        self._bad = (g.key(), h.key())
+        self._bad = (g.image_set, h.image_set)
 
     def _value(self, g):
         return self._inner.value(g)
@@ -207,7 +206,7 @@ class CorruptedTransfer(GlobalFunctor):
 
     def _tr_matrix(self, h, g):
         m = [list(row) for row in self._inner.tr(h, g).matrix]
-        if (g.key(), h.key()) == self._bad:
+        if (g.image_set, h.image_set) == self._bad:
             m[0][0] += 1
         return m
 
@@ -335,8 +334,8 @@ def standard_probe(max_n: int) -> AxiomProbe:
     seen = set()
 
     def add(g):
-        if g.key() not in seen:
-            seen.add(g.key())
+        if g.image_set not in seen:
+            seen.add(g.image_set)
             groups.append(g)
         return g
 
@@ -378,7 +377,7 @@ def standard_probe(max_n: int) -> AxiomProbe:
 
     surjections = []
     for alpha in homs:
-        if alpha.source.key() == alpha.target.key():
+        if alpha.source == alpha.target:
             continue
         if not alpha.is_surjective_onto_target():
             continue
@@ -433,7 +432,7 @@ def verify_axioms(f: GlobalFunctor, probe: AxiomProbe) -> AxiomReport:
         )
     for outer in probe.homs:
         for inner in probe.homs:
-            if inner.target.key() != outer.source.key():
+            if inner.target != outer.source:
                 continue
             lhs = f.res(outer.compose(inner))
             rhs = f.res(inner).compose(f.res(outer))

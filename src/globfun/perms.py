@@ -21,6 +21,10 @@ action (points, conjugacy classes, double cosets, the conjugates of a
 subgroup, Burnside restriction) is one call of `_orbits` with one map per
 generator; left cosets are acted on through their least member
 (`_coset_moves`).
+
+Identity: a group is its `image_set`, the frozenset of its elements' image
+tuples, which equality, hashing and every memo key read; a homomorphism is
+its `table`, image tuple -> image tuple.
 """
 
 from __future__ import annotations
@@ -276,10 +280,9 @@ class PermGroup:
         "degree",
         "generators",
         "elements",
-        "element_set",
+        "image_set",
         "order",
         "name",
-        "_key",
         "_classes",
         "_class_index",
         "_orbits",
@@ -289,10 +292,10 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(close_generators(degree, self.generators, cap))
-        self.element_set = frozenset(self.elements)
+        self.image_set = frozenset(x.images for x in self.elements)
         self.order = len(self.elements)
         self.name = name
-        self._key = self._classes = self._class_index = self._orbits = None
+        self._classes = self._class_index = self._orbits = None
 
     @staticmethod
     def from_elements(degree, elements, name="") -> "PermGroup":
@@ -315,11 +318,10 @@ class PermGroup:
         g = PermGroup.__new__(PermGroup)
         g.degree = degree
         g.elements = tuple(elems)
-        g.element_set = frozenset(elems)
+        g.image_set = tset
         g.order = len(elems)
         g.name = name
         g.generators = tuple(_small_generating_set(degree, elems))
-        g._key = (degree, tset)
         g._classes = g._class_index = g._orbits = None
         return g
 
@@ -327,28 +329,18 @@ class PermGroup:
     def identity(self) -> Perm:
         return Perm.identity(self.degree)
 
-    def key(self):
-        """Hashable identity of the group as a subset of Sym(degree)."""
-        if self._key is None:
-            self._key = (self.degree, frozenset(p.images for p in self.elements))
-        return self._key
-
     def __contains__(self, p: Perm) -> bool:
-        return p in self.element_set
+        return p.images in self.image_set
 
     def __le__(self, other: "PermGroup") -> bool:
-        """Subgroup test (same degree containment)."""
-        return self.degree == other.degree and self.element_set <= other.element_set
+        """Subgroup test; image tuples carry the degree."""
+        return self.image_set <= other.image_set
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PermGroup)
-            and self.degree == other.degree
-            and self.element_set == other.element_set
-        )
+        return isinstance(other, PermGroup) and self.image_set == other.image_set
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self.image_set)
 
     def __repr__(self) -> str:
         label = self.name or f"order {self.order}"
@@ -403,10 +395,23 @@ def _small_generating_set(degree, sorted_elems):
 # standard groups
 
 
+def _check_order_factors(factors, caps):
+    """Raise CapExceededError for the first cap in `caps` (what -> cap) that
+    the running product of `factors` passes, one factor at a time, so that a
+    huge order is refused after a few steps and before any element is built."""
+    order = 1
+    for k in factors:
+        order *= k
+        for what, cap in caps.items():
+            if order > cap:
+                raise CapExceededError(what, cap)
+
+
 def symmetric_group(n: int, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
     """Sym(n) on {1..n}; n = 0 and n = 1 are both the trivial group on one point."""
     if n < 0:
         raise UsageError("n must be >= 0")
+    _check_order_factors(range(2, n + 1), {"group order": cap})
     if n <= 1:
         return PermGroup(1, [], name=f"S{max(n, 1)}")
     gens = [Perm.from_cycles(n, [(1, 2)])]
@@ -419,6 +424,7 @@ def alternating_group(n: int, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
     """Alt(n) on {1..n}; trivial for n <= 2."""
     if n < 0:
         raise UsageError("n must be >= 0")
+    _check_order_factors(range(3, n + 1), {"group order": cap})
     if n <= 2:
         return PermGroup(max(n, 1), [], name=f"A{max(n, 1)}")
     if n == 3:
@@ -435,8 +441,11 @@ def young_subgroup(
 ) -> PermGroup:
     """Product of full symmetric groups on disjoint blocks; other points fixed.
 
-    Without a name, the group is named after its nontrivial blocks.
+    Without a name, the group is named after its nontrivial blocks.  The
+    order, the product of the block factorials, meets `cap` first.
     """
+    blocks = list(blocks)
+    _check_order_factors((k for b in blocks for k in range(2, len(b) + 1)), {"group order": cap})
     blocks = [tuple(sorted(b)) for b in blocks if len(b) > 0]
     used = set()
     for b in blocks:
@@ -487,8 +496,9 @@ def parse_group_spec(spec: str, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup
 
     S<k>xS<l> and Y<k>,<l> both give the block subgroup of Sym(k+l)
     preserving {1..k} and {k+1..k+l}; that subgroup is the concrete
-    realization of the product used throughout.  Closure raises
-    CapExceededError as soon as the group has more than `cap` elements.
+    realization of the product used throughout.  Each constructor checks
+    the order the spec names (n!, n!/2 or k!l!) against `cap` before it
+    builds any element.
     """
     m = _GROUP_SPEC_RE.match(spec.strip())
     if not m:
@@ -519,11 +529,12 @@ class GroupHom:
     in one breadth-first pass on image tuples.  Every edge x -> x g is
     checked against f(x g) = f(x) f(g), which forces full multiplicativity
     by induction on word length, so that pass is also the homomorphism
-    check.  The total map is kept, keyed by the source's own element
-    objects: restriction matrices, images and preimages all read it.
+    check.  The total map is kept as `table`, from the source elements'
+    own image tuples to one shared value tuple per distinct image:
+    restriction matrices, images and preimages all read it.
     """
 
-    __slots__ = ("source", "target", "gen_images", "mapping")
+    __slots__ = ("source", "target", "gen_images", "table")
 
     def __init__(self, source: PermGroup, target: PermGroup, images):
         gens = source.generators
@@ -547,18 +558,18 @@ class GroupHom:
                     queue.append(y)
                 elif old != fy:
                     raise NotAHomomorphismError(f"fails at {Perm._from_images(x)} * {g}")
-        values = {t: Perm._from_images(t) for t in set(tmap.values())}
+        values = {t: t for t in tmap.values()}  # one shared tuple per distinct image
         self.source = source
         self.target = target
         self.gen_images = tuple(images)
-        self.mapping = {x: values[tmap[x.images]] for x in source.elements}
+        self.table = {x.images: values[tmap[x.images]] for x in source.elements}
 
     @staticmethod
     def from_callable(source, target, fn) -> "GroupHom":
         """The homomorphism that fn is, checked against fn on every element."""
         hom = GroupHom(source, target, [fn(g) for g in source.generators])
-        for x, fx in hom.mapping.items():
-            if fn(x) != fx:
+        for x in source.elements:
+            if fn(x).images != hom.table[x.images]:
                 raise NotAHomomorphismError(f"not a homomorphism at {x}")
         return hom
 
@@ -579,34 +590,34 @@ class GroupHom:
         return GroupHom(source, target, [g * x * ginv for x in source.generators])
 
     def __call__(self, x: Perm) -> Perm:
-        return self.mapping[x]
+        return Perm._from_images(self.table[x.images])
 
     def compose(self, inner: "GroupHom") -> "GroupHom":
         """self o inner."""
-        if inner.target.key() != self.source.key():
+        if inner.target != self.source:
             raise UsageError("homs not composable")
-        return GroupHom(inner.source, self.target, [self.mapping[y] for y in inner.gen_images])
+        return GroupHom(inner.source, self.target, [self(y) for y in inner.gen_images])
 
     def image(self) -> PermGroup:
-        return PermGroup.from_elements(self.target.degree, set(self.mapping.values()))
+        values = set(self.table.values())
+        return PermGroup.from_elements(self.target.degree, map(Perm._from_images, values))
 
     def preimage(self, hbar: PermGroup) -> PermGroup:
         """Preimage of a subgroup of the target."""
         if not hbar <= self.target:
             raise NotASubgroupError("preimage target is not a subgroup")
-        want = hbar.element_set
-        return PermGroup.from_elements(
-            self.source.degree, [x for x, fx in self.mapping.items() if fx in want]
-        )
+        want, table = hbar.image_set, self.table
+        elems = [x for x in self.source.elements if table[x.images] in want]
+        return PermGroup.from_elements(self.source.degree, elems)
 
     def is_surjective_onto_target(self) -> bool:
-        return len(set(self.mapping.values())) == self.target.order
+        return len(set(self.table.values())) == self.target.order
 
     def key(self):
         """Memoization key: a hom is determined by its generator images."""
         return (
-            self.source.key(),
-            self.target.key(),
+            self.source.image_set,
+            self.target.image_set,
             tuple(g.images for g in self.source.generators),
             tuple(v.images for v in self.gen_images),
         )
@@ -695,7 +706,7 @@ def centralizer(g: PermGroup, x: Perm) -> PermGroup:
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     if not h <= g:
         raise NotASubgroupError("normalizer needs h <= g")
-    hset = h.key()[1]
+    hset = h.image_set
     gens = [t.images for t in h.generators]
     out = []
     for y in g.elements:
@@ -718,7 +729,7 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     if a.degree != b.degree:
         raise UsageError("intersection needs equal degrees")
-    return PermGroup.from_elements(a.degree, a.element_set & b.element_set)
+    return PermGroup.from_elements(a.degree, [x for x in a.elements if x.images in b.image_set])
 
 
 def left_coset_reps(g: PermGroup, h: PermGroup) -> tuple[dict, list[tuple]]:

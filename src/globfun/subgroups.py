@@ -8,8 +8,8 @@ from that orbit gives the join <H, c>.  That suffices because
 <H, c^n> = <H, c>^n for n in N_G(H), and every non-cyclic subgroup K is
 <M, c> for a maximal subgroup M of K and any c in K outside M.  A join is
 built one coset of H at a time (Dimino, `perms._join`), not closed again
-from the identity.  Element sets are frozensets of image tuples, the format
-`PermGroup.key()` holds; `Perm` objects are built only for representatives.
+from the identity.  Element sets are frozensets of image tuples, as in
+`PermGroup.image_set`; `Perm` objects are built only for representatives.
 
 A join whose element set is new starts a class; its conjugacy orbit is
 computed once, then, by `perms._orbits` under conjugation by the generators
@@ -21,7 +21,7 @@ failed lookup is a bug, not a condition to handle.
 
 from __future__ import annotations
 
-from .errors import CapExceededError, MathCheckError, NotASubgroupError
+from .errors import CapExceededError, MathCheckError
 from .perms import Perm, PermGroup, _conjugator, _join, _orbits, _right_mul, left_coset_reps
 
 DEFAULT_MAX_LATTICE_ORDER = 1000
@@ -32,10 +32,9 @@ _lattice_memo: dict = {}
 class SubgroupClass:
     """One conjugacy class of subgroups of an ambient group."""
 
-    __slots__ = ("ambient", "representative", "index", "class_size")
+    __slots__ = ("representative", "index", "class_size")
 
-    def __init__(self, ambient, representative, index, class_size):
-        self.ambient = ambient
+    def __init__(self, representative, index, class_size):
         self.representative = representative
         self.index = index
         self.class_size = class_size
@@ -64,7 +63,7 @@ class SubgroupLattice:
         self._class_of = class_of
 
     def class_of(self, eset: frozenset) -> int:
-        """Index of the class of the subgroup with image-tuple set eset (h.key()[1])."""
+        """Index of the class of the subgroup whose image_set is eset."""
         try:
             return self._class_of[eset]
         except KeyError:
@@ -101,8 +100,7 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
     then by a canonical key of the representative."""
     if group.order > cap:
         raise CapExceededError("subgroup lattice order", cap)
-    memo_key = group.key()
-    hit = _lattice_memo.get(memo_key)
+    hit = _lattice_memo.get(group.image_set)
     if hit is not None:
         return hit
 
@@ -145,12 +143,12 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
     class_of = {}
     for idx, (rep, orbit) in enumerate(raw_classes):
         sub = PermGroup.from_elements(degree, map(Perm._from_images, rep))
-        classes.append(SubgroupClass(group, sub, idx, len(orbit)))
+        classes.append(SubgroupClass(sub, idx, len(orbit)))
         for member in orbit:
             class_of[member] = idx
 
     lattice = SubgroupLattice(group, tuple(classes), class_of)
-    _lattice_memo[memo_key] = lattice
+    _lattice_memo[group.image_set] = lattice
     return lattice
 
 

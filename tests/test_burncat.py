@@ -21,7 +21,7 @@ from globfun.burncat import (
     section_of_restriction,
 )
 from globfun.burnside import BurnsideFunctor
-from globfun.errors import MathCheckError, UsageError
+from globfun.errors import CapExceededError, MathCheckError, UsageError
 from globfun.functors import standard_probe, verify_axioms
 from globfun.perms import (
     GroupHom,
@@ -72,7 +72,7 @@ def test_basis_from_trivial_source_is_subgroup_classes():
             m = BurnsideCatMorphism(S[1], S[n], [(p, 1)])
             col = [row[0] for row in m.action_on(a).matrix]
             want = [0] * len(lat.classes)
-            want[lat.class_of(p.subgroup.key()[1])] = 1
+            want[lat.class_of(p.subgroup.image_set)] = 1
             assert col == want
 
 
@@ -258,13 +258,13 @@ def test_represented_functor_is_burnside_at_trivial_group():
         lat = subgroup_classes(g)
         assert rep.value(g).rank == a.value(g).rank
         # match the two basis orders through the subgroup classes
-        to_class = [lat.class_of(p.subgroup.key()[1]) for p in rep.basis(g)]
+        to_class = [lat.class_of(p.subgroup.image_set) for p in rep.basis(g)]
         assert sorted(to_class) == list(range(len(lat.classes)))
         inc = standard_inclusion(n)
         got = rep.res(inc).matrix
         want = a.res(inc).matrix
         lat_prev = subgroup_classes(S[n - 1])
-        src_map = [lat_prev.class_of(p.subgroup.key()[1]) for p in rep.basis(S[n - 1])]
+        src_map = [lat_prev.class_of(p.subgroup.image_set) for p in rep.basis(S[n - 1])]
         for i, ci in enumerate(src_map):
             for j, cj in enumerate(to_class):
                 assert got[i][j] == want[ci][cj]
@@ -324,12 +324,20 @@ def test_section_reports_pair_missing_from_basis(monkeypatch):
     # a composite outside a (here truncated) basis is a failed check, not a KeyError
     full = burncat.morphism_basis
 
-    def truncated(source, target):
-        return full(source, target)[:1] if target.degree == 2 else full(source, target)
+    def truncated(source, target, *cap):
+        basis = full(source, target, *cap)
+        return basis[:1] if target.degree == 2 else basis
 
     monkeypatch.setattr(burncat, "morphism_basis", truncated)
     with pytest.raises(MathCheckError, match="missing from the enumerated basis"):
         section_of_restriction(3)
+
+
+def test_section_honours_lattice_cap():
+    # every lattice the section builds stops at the caller's cap, not the default
+    with pytest.raises(CapExceededError) as exc:
+        section_of_restriction(4, lattice_cap=10)
+    assert exc.value.cap == 10
 
 
 @pytest.mark.parametrize("n", [2, 3])

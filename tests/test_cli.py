@@ -124,6 +124,11 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
         ({}, ("verify-axioms", "--functor", "repring", "--max-n", "1000000"), "cap 50000"),
         # a range past 8 is refused as a range, before the cap is looked at
         ({}, ("fusion", "--family", "alternating", "--n-range", "5..1000000"), "5 <= n <= 8"),
+        # a --group spec is refused by the order it names, before any element is built
+        ({}, ("marks", "--group", "S99999999999"), "group order exceeded cap 50000"),
+        ({}, ("marks", "--group", "A99999999999"), "group order exceeded cap 50000"),
+        ({}, ("marks", "--group", "S2xS99999999999"), "group order exceeded cap 50000"),
+        ({}, ("marks", "--group", "Y1,99999999999"), "group order exceeded cap 50000"),
     ]:
         with monkeypatch.context() as m:
             for name, value in env.items():

@@ -113,7 +113,7 @@ def reference_res_matrix(alpha):
                 k.degree, [x for x in k.elements if rep_of[alpha(x) * start] == start]
             )
             assert stab.order * len(orbit) == k.order
-            matrix[lat_k.class_of(stab.key()[1])][j] += 1
+            matrix[lat_k.class_of(stab.image_set)][j] += 1
     return matrix
 
 

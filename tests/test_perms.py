@@ -254,16 +254,15 @@ def test_group_hom_matches_reference(case):
             GroupHom(source, target, images)
         return
     hom = GroupHom(source, target, images)
-    # keyed by the source's own element objects, in element order
-    assert len(hom.mapping) == source.order
-    assert all(k is x for k, x in zip(hom.mapping, source.elements))
-    assert {x: v.images for x, v in hom.mapping.items()} == {
-        x: v.images for x, v in want.items()
-    }
-    for v in hom.mapping.values():
-        assert type(v) is Perm and v.degree == target.degree and v._hash == hash(v.images)
-    # equal images are one shared Perm value
-    assert len({id(v) for v in hom.mapping.values()}) == len(set(hom.mapping.values()))
+    # keyed by the source elements' own image tuples, in element order
+    assert len(hom.table) == source.order
+    assert all(k is x.images for k, x in zip(hom.table, source.elements))
+    assert hom.table == {x.images: v.images for x, v in want.items()}
+    assert all(hom(x) == v for x, v in want.items())
+    for v in hom.table.values():
+        assert type(v) is tuple and v in target.image_set
+    # equal images are one shared value tuple
+    assert len({id(v) for v in hom.table.values()}) == len(set(hom.table.values()))
 
 
 def reference_left_coset_reps(g, h):
@@ -309,7 +308,7 @@ def reference_normalizer(g, h):
     out = []
     for y in g.elements:
         yinv = y.inverse()
-        if all(y * t * yinv in h.element_set for t in h.generators):
+        if all(y * t * yinv in h for t in h.generators):
             out.append(y)
     return out
 
@@ -352,7 +351,7 @@ def test_cosets_and_normalizer_match_reference(case):
     assert double_cosets(g, h, k) == reference_double_cosets(g, h, k)
     norm = normalizer(g, h)
     assert norm.elements == tuple(reference_normalizer(g, h))
-    assert norm.key() == (g.degree, frozenset(x.images for x in norm.elements))
+    assert norm.image_set == frozenset(x.images for x in norm.elements)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -361,7 +360,7 @@ def test_generating_set_matches_reference(case):
     g, h, _ = case
     for group in (g, h):
         built = PermGroup.from_elements(group.degree, reversed(group.elements))
-        assert built.elements == group.elements and built.key() == group.key()
+        assert built.elements == group.elements and built.image_set == group.image_set
         assert built.generators == tuple(reference_generating_set(group.degree, group.elements))
         # the generators are the group's own element objects
         own = {id(x) for x in built.elements}
@@ -402,8 +401,8 @@ def test_kernel_at_degree_zero_and_one(degree):
     assert group.conjugacy_classes() == ((e,),)
     assert group.conjugacy_classes()[0][0] is group.elements[0]
     s3 = symmetric_group(3)
-    assert GroupHom(group, s3, [s3.identity]).mapping == {e: s3.identity}
-    assert GroupHom.identity(group).mapping == {e: e}
+    assert GroupHom(group, s3, [s3.identity]).table == {e.images: s3.identity.images}
+    assert GroupHom.identity(group).table == {e.images: e.images}
     with pytest.raises(NotAHomomorphismError):
         GroupHom(group, s3, [Perm.parse("(1 2)", 3)])
 
@@ -562,9 +561,9 @@ def test_group_hom_validation():
     inc = GroupHom(s2, s3, [Perm.parse("(1 2)", 3)])
     assert inc(Perm.parse("(1 2)", 2)) == Perm.parse("(1 2)", 3)
     assert inc.gen_images == (Perm.parse("(1 2)", 3),)
-    assert len(inc.mapping) == s2.order
-    # the map is keyed by the source's own element objects
-    assert all(any(k is x for x in s2.elements) for k in inc.mapping)
+    assert len(inc.table) == s2.order
+    # the table is keyed by the source elements' own image tuples
+    assert all(any(k is x.images for x in s2.elements) for k in inc.table)
 
 
 def _s2_to_s3_by_3_cycle():
@@ -624,7 +623,7 @@ def test_hom_compose_image_preimage():
     inc = GroupHom.inclusion(y, s4)
     assert inc.image() == y
     comp = p1.compose(GroupHom.identity(y))
-    assert comp.mapping == p1.mapping
+    assert comp.table == p1.table
 
 
 def test_all_homs_counts():

@@ -27,8 +27,9 @@ from globfun.splitting import (
     splitting_report,
     verify_dcf_symmetric,
 )
+from globfun import characters, subgroups
 from globfun.characters import partition_count
-from globfun.perms import symmetric_group, young_two_block
+from globfun.perms import PermGroup, symmetric_group, young_two_block
 
 
 def test_kernel_basis_low_burnside():
@@ -190,6 +191,25 @@ def test_memo_not_shared_with_corrupted_functor():
     assert bad._kernel_memo is not A._kernel_memo and not bad._kernel_memo
     assert psi(bad, 2, 3) != before
     assert psi(A, 2, 3) == before
+
+
+def _holds_group(key):
+    if isinstance(key, PermGroup):
+        return True
+    return isinstance(key, (tuple, frozenset)) and any(map(_holds_group, key))
+
+
+def test_memo_keys_hold_no_group():
+    # memos key on image sets: a PermGroup key would keep its Perm elements alive
+    functors = [RepRingFunctor(), BurnsideFunctor()]
+    splitting_report(functors[0], 5)
+    splitting_report(functors[1], 4)
+    memos = [characters._table_memo, characters._fusion_memo, subgroups._lattice_memo]
+    for f in functors:
+        memos += [f._value_memo, f._res_memo, f._tr_memo, f._kernel_memo, f._psi_memo]
+    for memo in memos:
+        assert memo
+        assert not any(map(_holds_group, memo))
 
 
 def test_kernel_basis_rows_are_fresh():

@@ -119,7 +119,7 @@ def test_class_of_lookup():
     # every conjugate of every representative resolves to its own class
     for c in lat.classes:
         for t in g.elements[:6]:
-            assert lat.class_of(conjugate_subgroup(c.representative, t).key()[1]) == c.index
+            assert lat.class_of(conjugate_subgroup(c.representative, t).image_set) == c.index
 
 
 def test_class_of_rejects_sets_that_are_not_subgroups():
@@ -141,7 +141,7 @@ def _check_random_subgroups(n, draws):
     for _ in range(draws):
         seeds = rng.sample(g.elements, rng.choice([1, 2]))
         h = PermGroup(n, seeds)
-        idx = lat.class_of(h.key()[1])
+        idx = lat.class_of(h.image_set)
         assert lat.classes[idx].order == h.order
 
 
