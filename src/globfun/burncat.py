@@ -391,10 +391,15 @@ def _section_from_splitting(rep: RepresentedFunctor, n: int) -> BurnsideCatMorph
     return rep._as_morphism(symmetric_group(n), total)
 
 
-def _split_product_point(p: Perm, d: int):
-    left = Perm(p.images[:d])
-    right = Perm(tuple(v - d for v in p.images[d:]))
-    return left, right
+def _on_second_factor(d: int, table):
+    """id x f on the image tuples of a product whose first factor has degree
+    d, for f given by its table."""
+
+    def fn(x):
+        right = table[tuple(v - d for v in x[d:])]
+        return x[:d] + tuple(v + d for v in right)
+
+    return fn
 
 
 def product_section(
@@ -415,26 +420,15 @@ def product_section(
     big_cur = product_group(g, cur)
     d = g.degree
 
-    inc = standard_inclusion(n)
-
-    def embed(p: Perm) -> Perm:
-        left, right = _split_product_point(p, d)
-        lifted = inc(right)
-        return Perm(left.images + tuple(v + d for v in lifted.images))
-
-    big_inc = GroupHom.from_callable(big_prev, big_cur, embed)
+    big_inc = GroupHom.from_callable(
+        big_prev, big_cur, _on_second_factor(d, standard_inclusion(n).table)
+    )
 
     paired = BurnsideCatMorphism(big_prev, big_cur)
     for key in sorted(section.sigma.terms):
         pair, coeff = section.sigma.terms[key]
         sub = product_group(g, pair.subgroup)
-
-        def mapped(p: Perm, inner=pair.hom):
-            left, right = _split_product_point(p, d)
-            out = inner(right)
-            return Perm(left.images + tuple(v + d for v in out.images))
-
-        alpha = GroupHom.from_callable(sub, big_prev, mapped)
+        alpha = GroupHom.from_callable(sub, big_prev, _on_second_factor(d, pair.hom.table))
         paired._add(canonical_pair(sub, alpha, big_cur), coeff)
 
     burnside = BurnsideFunctor(lattice_cap)

@@ -17,9 +17,9 @@ from .burncat import product_section, section_of_restriction
 from .burnside import BurnsideFunctor
 from .cache import Cache
 from .characters import char_table_symmetric
-from .errors import CapExceededError, GlobfunError, MathCheckError, NonIntegralError, UsageError
+from .errors import GlobfunError, MathCheckError, NonIntegralError, UsageError
 from .functors import standard_probe, verify_axioms
-from .perms import _check_order_factors, parse_group_spec, symmetric_group
+from .perms import _check_order_factors, _spec_order_factors, parse_group_spec, symmetric_group
 from .repring import RepRingFunctor
 from .splitting import (
     decompose,
@@ -62,21 +62,20 @@ class Config:
         return Config(cache_dir, max_group, max_lattice, seed, args.output)
 
 
-def _group(config: Config, spec: str):
+def _group(config: Config, spec: str, lattice: bool):
+    """Build the group a spec names, once its order has met the caps."""
+    _check_order(config, _spec_order_factors(spec, config.max_group_order), lattice)
     return parse_group_spec(spec, cap=config.max_group_order)
 
 
-def _check_order(
-    config: Config, n: int, lattice: bool, alternating: bool = False, factor: int = 1
-):
-    """Refuse before any work when Sym(n), or Alt(n), times a group of order
-    `factor` passes the group cap, or the lattice cap for commands that build
-    lattices.  The order grows one factor at a time, starting with `factor`,
-    and stops at the first cap it passes."""
+def _check_order(config: Config, factors, lattice: bool):
+    """Refuse before any work when the order, the running product of
+    `factors`, passes the group cap, or the lattice cap for commands that
+    build lattices.  The first cap passed names the error."""
     caps = {"group order": config.max_group_order}
     if lattice:
         caps["subgroup lattice order"] = config.max_lattice_order
-    _check_order_factors(chain([factor], range(3 if alternating else 2, n + 1)), caps)
+    _check_order_factors(factors, caps)
 
 
 def _functor(config: Config, name: str):
@@ -93,9 +92,7 @@ def _functor(config: Config, name: str):
 def _cmd_marks(config, cache, args):
     key = args.group.strip()
     # caps are checked before the cache lookup, so warm and cold runs agree
-    g = _group(config, args.group)
-    if g.order > config.max_lattice_order:
-        raise CapExceededError("subgroup lattice order", config.max_lattice_order)
+    g = _group(config, args.group, True)
     payload = cache.get("marks", key)
     if payload is None:
         lat, marks = table_of_marks(g, cap=config.max_lattice_order)
@@ -116,7 +113,7 @@ def _cmd_marks(config, cache, args):
 
 def _cmd_functor_value(config, cache, args):
     f = _functor(config, args.functor)
-    g = _group(config, args.group)
+    g = _group(config, args.group, args.functor == "burnside")
     value = f.value(g)
     payload = {
         "functor": args.functor,
@@ -130,28 +127,28 @@ def _cmd_functor_value(config, cache, args):
 
 
 def _cmd_verify_axioms(config, cache, args):
-    _check_order(config, args.max_n, args.functor == "burnside")
+    _check_order(config, range(2, args.max_n + 1), args.functor == "burnside")
     f = _functor(config, args.functor)
     report = verify_axioms(f, standard_probe(args.max_n))
     return report.to_dict(), report.summary_lines(), report.all_passed
 
 
 def _cmd_dcf(config, cache, args):
-    _check_order(config, args.n, args.functor == "burnside")
+    _check_order(config, range(2, args.n + 1), args.functor == "burnside")
     f = _functor(config, args.functor)
     check = verify_dcf_symmetric(f, args.k, args.n)
     return check.to_dict(), [check.summary()], check.passed
 
 
 def _cmd_split(config, cache, args):
-    _check_order(config, args.n, args.functor == "burnside")
+    _check_order(config, range(2, args.n + 1), args.functor == "burnside")
     f = _functor(config, args.functor)
     report = splitting_report(f, args.n)
     return report.to_dict(), report.summary_lines(), True
 
 
 def _cmd_decompose(config, cache, args):
-    _check_order(config, args.n, args.functor == "burnside")
+    _check_order(config, range(2, args.n + 1), args.functor == "burnside")
     f = _functor(config, args.functor)
     rank = f.value(symmetric_group(args.n, config.max_group_order)).rank
     if args.element is not None:
@@ -183,8 +180,8 @@ def _cmd_decompose(config, cache, args):
 
 
 def _cmd_section(config, cache, args):
-    g = _group(config, args.with_product_group) if args.with_product_group else None
-    _check_order(config, args.n, True, factor=g.order if g is not None else 1)
+    g = _group(config, args.with_product_group, True) if args.with_product_group else None
+    _check_order(config, chain([g.order if g else 1], range(2, args.n + 1)), True)
     report = section_of_restriction(args.n, lattice_cap=config.max_lattice_order)
     payload = report.to_dict()
     lines = report.summary_lines()
@@ -210,7 +207,7 @@ def _cmd_fusion(config, cache, args):
         raise UsageError("empty --n-range")
     if not 5 <= lo <= hi <= 8:
         raise UsageError("the fusion search covers 5 <= n <= 8")
-    _check_order(config, hi, False, alternating=True)
+    _check_order(config, range(3, hi + 1), False)
     payload = {"family": args.family, "reports": []}
     lines = []
     for n in range(lo, hi + 1):

@@ -214,7 +214,7 @@ class CorruptedTransfer(GlobalFunctor):
 def terminal_hom(g: PermGroup) -> GroupHom:
     """The unique homomorphism onto the trivial group (degree-1 model)."""
     e = symmetric_group(1)
-    return GroupHom.from_callable(g, e, lambda x: Perm.identity(1))
+    return GroupHom.from_callable(g, e, lambda x: (1,))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +458,7 @@ def verify_axioms(f: GlobalFunctor, probe: AxiomProbe) -> AxiomReport:
 
     for q, b in probe.surjections:
         pre = q.preimage(b)
-        restricted = GroupHom.from_callable(pre, b, q)
+        restricted = GroupHom.from_callable(pre, b, q.table.__getitem__)
         lhs = f.res(q).compose(f.tr(b, q.target))
         rhs = f.tr(pre, q.source).compose(f.res(restricted))
         record("R4", f"surjection {q!r} with subgroup {b!r}", lhs, rhs)

@@ -1,10 +1,11 @@
 """Permutations of {1..n}, finite permutation groups, and group homomorphisms.
 
 Everything downstream (Burnside rings, character tables, the Burnside
-category) sits on the three classes here.  Elements are kept fully
-enumerated: the groups in scope are small symmetric/alternating groups and
-their subgroups, and total enumeration keeps every later computation exact
-and deterministic.
+category) sits on the three classes here.  A group is enumerated in full,
+as the set of its elements' image tuples: the groups in scope are small
+symmetric/alternating groups and their subgroups, and total enumeration
+keeps every later computation exact and deterministic.  Its sorted `Perm`
+elements are built from that set only when first read.
 
 Conventions, fixed once and used everywhere:
 
@@ -127,10 +128,6 @@ class Perm:
     def inverse(self) -> "Perm":
         return Perm._from_images(_inverse(self.images))
 
-    def conj(self, g: "Perm") -> "Perm":
-        """g * self * g^-1."""
-        return g * self * g.inverse()
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
         seen = [False] * self.degree
@@ -202,11 +199,6 @@ def _conjugator(g: tuple):
     return lambda y: tuple(map(lift, mul(y)))
 
 
-def _extend(p: Perm, n: int) -> Perm:
-    """Re-read a permutation of degree < n as one of degree n."""
-    return Perm(p.images + tuple(range(p.degree + 1, n + 1)))
-
-
 def _orbits(points, moves):
     """The orbits of the maps `moves` (one per generator of a finite group)
     on `points`, ordered by first point; each lists its first point first
@@ -247,10 +239,12 @@ def _join(hset, gens, cap):
 
 
 def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
-    """Breadth-first closure of a generating set; returns the sorted element list.
+    """The frozenset of image tuples of the group the generators generate.
 
-    Raises CapExceededError once more than `cap` elements appear, and at
-    once when `cap` < 1, since every group has its identity.
+    Closes one breadth-first layer per step: each generator's right
+    multiplication maps the whole frontier at C level.  Raises
+    CapExceededError once more than `cap` elements are found, checked after
+    each layer, and at once when `cap` < 1, since every group has its identity.
     """
     gens = list(generators)
     for g in gens:
@@ -259,27 +253,27 @@ def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
     if cap < 1:
         raise CapExceededError("group order", cap)
     muls = [_right_mul(g.images) for g in gens]
-    ident = tuple(range(1, degree + 1))
-    found = {ident}
-    queue = [ident]
-    for x in queue:  # grows while it is read: breadth-first order
+    frontier = found = {tuple(range(1, degree + 1))}
+    while frontier:
+        new = set()
         for mul in muls:
-            y = mul(x)
-            if y not in found:
-                found.add(y)
-                queue.append(y)
-                if len(found) > cap:
-                    raise CapExceededError("group order", cap)
-    return [Perm._from_images(y) for y in sorted(found)]
+            new.update(map(mul, frontier))
+        new = new - found  # iterates new, where new -= found would iterate found
+        found |= new
+        if len(found) > cap:
+            raise CapExceededError("group order", cap)
+        frontier = new
+    return frozenset(found)
 
 
 class PermGroup:
-    """A fully enumerated permutation group on {1..degree}."""
+    """A permutation group on {1..degree}, kept as the set of its elements'
+    image tuples; `elements` wraps them as sorted `Perm`s on first read."""
 
     __slots__ = (
         "degree",
         "generators",
-        "elements",
+        "_elements",
         "image_set",
         "order",
         "name",
@@ -291,11 +285,10 @@ class PermGroup:
     def __init__(self, degree, generators, cap=DEFAULT_MAX_GROUP_ORDER, name=""):
         self.degree = degree
         self.generators = tuple(generators)
-        self.elements = tuple(close_generators(degree, self.generators, cap))
-        self.image_set = frozenset(x.images for x in self.elements)
-        self.order = len(self.elements)
+        self.image_set = close_generators(degree, self.generators, cap)
+        self.order = len(self.image_set)
         self.name = name
-        self._classes = self._class_index = self._orbits = None
+        self._elements = self._classes = self._class_index = self._orbits = None
 
     @staticmethod
     def from_elements(degree, elements, name="") -> "PermGroup":
@@ -317,13 +310,20 @@ class PermGroup:
                 raise NotASubgroupError(f"inverse of {x} missing")
         g = PermGroup.__new__(PermGroup)
         g.degree = degree
-        g.elements = tuple(elems)
+        g._elements = tuple(elems)
         g.image_set = tset
         g.order = len(elems)
         g.name = name
         g.generators = tuple(_small_generating_set(degree, elems))
         g._classes = g._class_index = g._orbits = None
         return g
+
+    @property
+    def elements(self) -> tuple[Perm, ...]:
+        """The elements, sorted, each wrapping one tuple of `image_set`."""
+        if self._elements is None:
+            self._elements = tuple(map(Perm._from_images, sorted(self.image_set)))
+        return self._elements
 
     @property
     def identity(self) -> Perm:
@@ -491,6 +491,26 @@ _GROUP_SPEC_RE = re.compile(
 )
 
 
+def _read_group_spec(spec: str, cap: int):
+    """The family ("S", "A", or "Y" for both S<k>xS<l> and Y<k>,<l>) and the
+    sizes of a group spec.  A size with more digits than `cap` is past it,
+    and so is the order the spec names; it is refused before int() reads it."""
+    m = _GROUP_SPEC_RE.match(spec.strip())
+    if not m:
+        raise UsageError(f"cannot parse group spec {spec!r}")
+    sizes = [v for v in m.groups() if v is not None]
+    if any(len(v.lstrip("0")) > len(str(cap)) for v in sizes):
+        raise CapExceededError("group order", cap)
+    return ("S" if m["sn"] else "A" if m["an"] else "Y"), [int(v) for v in sizes]
+
+
+def _spec_order_factors(spec: str, cap: int):
+    """The factors, one at a time, of the order a group spec names (2..n for
+    S<n>, 3..n for A<n>, 2..k then 2..l), for `_check_order_factors`."""
+    family, sizes = _read_group_spec(spec, cap)
+    return (i for n in sizes for i in range(3 if family == "A" else 2, n + 1))
+
+
 def parse_group_spec(spec: str, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
     """Build a group from the mini-language: S<n>, A<n>, S<k>xS<l>, Y<k>,<l>.
 
@@ -500,18 +520,11 @@ def parse_group_spec(spec: str, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup
     the order the spec names (n!, n!/2 or k!l!) against `cap` before it
     builds any element.
     """
-    m = _GROUP_SPEC_RE.match(spec.strip())
-    if not m:
-        raise UsageError(f"cannot parse group spec {spec!r}")
-    if m.group("sn") is not None:
-        return symmetric_group(int(m.group("sn")), cap)
-    if m.group("an") is not None:
-        return alternating_group(int(m.group("an")), cap)
-    if m.group("pk") is not None:
-        k, l = int(m.group("pk")), int(m.group("pl"))
-    else:
-        k, l = int(m.group("yk")), int(m.group("yl"))
-    return young_two_block(k + l, k, cap, name=f"S{k}xS{l}")
+    family, sizes = _read_group_spec(spec, cap)
+    if family == "Y":
+        k, l = sizes
+        return young_two_block(k + l, k, cap, name=f"S{k}xS{l}")
+    return (symmetric_group if family == "S" else alternating_group)(sizes[0], cap)
 
 
 def trivial_subgroup(g: PermGroup) -> PermGroup:
@@ -529,9 +542,9 @@ class GroupHom:
     in one breadth-first pass on image tuples.  Every edge x -> x g is
     checked against f(x g) = f(x) f(g), which forces full multiplicativity
     by induction on word length, so that pass is also the homomorphism
-    check.  The total map is kept as `table`, from the source elements'
-    own image tuples to one shared value tuple per distinct image:
-    restriction matrices, images and preimages all read it.
+    check.  The total map is kept as `table`, from the source's `image_set`
+    tuples (no source `Perm` is built) to one shared value tuple per distinct
+    image: restriction matrices, images and preimages all read it.
     """
 
     __slots__ = ("source", "target", "gen_images", "table")
@@ -562,15 +575,16 @@ class GroupHom:
         self.source = source
         self.target = target
         self.gen_images = tuple(images)
-        self.table = {x.images: values[tmap[x.images]] for x in source.elements}
+        self.table = {x: values[tmap[x]] for x in source.image_set}
 
     @staticmethod
     def from_callable(source, target, fn) -> "GroupHom":
-        """The homomorphism that fn is, checked against fn on every element."""
-        hom = GroupHom(source, target, [fn(g) for g in source.generators])
-        for x in source.elements:
-            if fn(x).images != hom.table[x.images]:
-                raise NotAHomomorphismError(f"not a homomorphism at {x}")
+        """The homomorphism that fn, a map of image tuples, is; checked
+        against fn on every element, and named at the least that fails."""
+        hom = GroupHom(source, target, [Perm(fn(g.images)) for g in source.generators])
+        bad = min((x for x, fx in hom.table.items() if fn(x) != fx), default=None)
+        if bad is not None:
+            raise NotAHomomorphismError(f"not a homomorphism at {Perm._from_images(bad)}")
         return hom
 
     @staticmethod
@@ -606,8 +620,8 @@ class GroupHom:
         """Preimage of a subgroup of the target."""
         if not hbar <= self.target:
             raise NotASubgroupError("preimage target is not a subgroup")
-        want, table = hbar.image_set, self.table
-        elems = [x for x in self.source.elements if table[x.images] in want]
+        want = hbar.image_set
+        elems = [Perm._from_images(x) for x, v in self.table.items() if v in want]
         return PermGroup.from_elements(self.source.degree, elems)
 
     def is_surjective_onto_target(self) -> bool:
@@ -634,17 +648,16 @@ def restrict_to_block(g: PermGroup, block) -> GroupHom:
     """
     block = tuple(sorted(block))
     pos = {pt: i + 1 for i, pt in enumerate(block)}
-
-    def squash(p: Perm) -> Perm:
-        return Perm(tuple(pos[p(pt)] for pt in block))
-
-    target_gens = []
     for x in g.generators:
         for pt in block:
             if x(pt) not in pos:
                 raise UsageError(f"group does not preserve block {block}")
-        target_gens.append(squash(x))
-    target = PermGroup(len(block), target_gens)
+    if len(block) > 1:
+        pick, lift = itemgetter(*[pt - 1 for pt in block]), pos.__getitem__
+        squash = lambda x: tuple(map(lift, pick(x)))
+    else:  # one point has one permutation, and itemgetter needs two indices for a tuple
+        squash = lambda x: (1,)
+    target = PermGroup(len(block), [Perm(squash(x.images)) for x in g.generators])
     return GroupHom.from_callable(g, target, squash)
 
 
@@ -657,7 +670,8 @@ def standard_inclusion(n: int) -> GroupHom:
     if n < 1:
         raise UsageError("n must be >= 1")
     src, tgt = symmetric_group(n - 1), symmetric_group(n)
-    return GroupHom.from_callable(src, tgt, lambda p: _extend(p, n))
+    tail = tuple(range(src.degree + 1, n + 1))
+    return GroupHom.from_callable(src, tgt, lambda x: x + tail)
 
 
 def fixed_last_point_copy(n: int) -> PermGroup:
@@ -706,14 +720,9 @@ def centralizer(g: PermGroup, x: Perm) -> PermGroup:
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
     if not h <= g:
         raise NotASubgroupError("normalizer needs h <= g")
-    hset = h.image_set
-    gens = [t.images for t in h.generators]
-    out = []
-    for y in g.elements:
-        conj = _conjugator(y.images)
-        if all(conj(t) in hset for t in gens):
-            out.append(y)
-    return PermGroup.from_elements(g.degree, out)
+    hset, gens = h.image_set, [t.images for t in h.generators]
+    out = [y for y in g.image_set if hset.issuperset(map(_conjugator(y), gens))]
+    return PermGroup.from_elements(g.degree, map(Perm._from_images, out))
 
 
 def weyl_order(g: PermGroup, h: PermGroup) -> int:
@@ -729,7 +738,7 @@ def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     if a.degree != b.degree:
         raise UsageError("intersection needs equal degrees")
-    return PermGroup.from_elements(a.degree, [x for x in a.elements if x.images in b.image_set])
+    return PermGroup.from_elements(a.degree, map(Perm._from_images, a.image_set & b.image_set))
 
 
 def left_coset_reps(g: PermGroup, h: PermGroup) -> tuple[dict, list[tuple]]:
@@ -737,11 +746,10 @@ def left_coset_reps(g: PermGroup, h: PermGroup) -> tuple[dict, list[tuple]]:
     index of its coset, and the sorted list of each coset's least member."""
     if not h <= g:
         raise NotASubgroupError("cosets need h <= g")
-    muls = [_right_mul(t.images) for t in h.elements]
+    muls = [_right_mul(t) for t in h.image_set]
     coset_of = {}
     reps = []
-    for x in g.elements:  # sorted, so an unseen x is least in xH
-        x = x.images
+    for x in sorted(g.image_set):  # so an unseen x is least in xH
         if x not in coset_of:
             coset_of.update(dict.fromkeys([mul(x) for mul in muls], len(reps)))
             reps.append(x)

@@ -32,7 +32,7 @@ from .perms import (
     GroupHom,
     Perm,
     PermGroup,
-    _extend,
+    _conjugator,
     all_homs,
     alternating_group,
     fused_pairs,
@@ -138,12 +138,12 @@ def verify_dcf_symmetric(f: GlobalFunctor, k: int, n: int) -> DcfCheck:
     lhs = f.res(standard_inclusion(n)).compose(f.tr(h, sym_n))
 
     low1 = young_two_block(n - 1, k)
-    into1 = GroupHom.from_callable(low1, h, lambda x: _extend(x, n))
+    into1 = GroupHom.from_callable(low1, h, lambda x: x + (n,))
     term1 = f.tr(low1, sym_prev).compose(f.res(into1))
 
     low2 = young_two_block(n - 1, k - 1)
-    t = Perm.from_cycles(n, [(k, n)])
-    into2 = GroupHom.from_callable(low2, h, lambda x: _extend(x, n).conj(t))
+    conj = _conjugator(Perm.from_cycles(n, [(k, n)]).images)
+    into2 = GroupHom.from_callable(low2, h, lambda x: conj(x + (n,)))
     term2 = f.tr(low2, sym_prev).compose(f.res(into2))
 
     rhs = term1 + term2
@@ -289,8 +289,9 @@ def reassemble(f: GlobalFunctor, n: int, components):
 def embedded_alternating(n: int) -> PermGroup:
     """Alt(n-1) inside Alt(n), fixing the last point."""
     inner = alternating_group(n - 1)
+    tail = tuple(range(inner.degree + 1, n + 1))
     return PermGroup.from_elements(
-        n, [_extend(p, n) for p in inner.elements], name=f"A{n - 1}"
+        n, [Perm._from_images(x + tail) for x in inner.image_set], name=f"A{n - 1}"
     )
 
 
@@ -364,6 +365,6 @@ def alternating_retractions(n: int):
     small = alternating_group(n - 1)
     found = []
     for r in all_homs(big, small):
-        if all(r(_extend(x, n)) == x for x in small.elements):
+        if all(r.table[x + (n,)] == x for x in small.image_set):
             found.append(r)
     return found

@@ -105,7 +105,7 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
         return hit
 
     degree = group.degree
-    elements = [x.images for x in group.elements]  # sorted: the identity first
+    elements = sorted(group.image_set)  # the identity first
     # H -> g H g^-1 on element sets, one map per generator g
     steps = [lambda s, c=_conjugator(g.images): frozenset(map(c, s)) for g in group.generators]
     known = set()  # every subgroup found so far, as an element set

@@ -9,7 +9,7 @@ import pytest
 from globfun import cli
 from globfun.burnside import BurnsideFunctor
 from globfun.functors import CorruptedTransfer
-from globfun.perms import symmetric_group, young_two_block
+from globfun.perms import PermGroup, symmetric_group, young_two_block
 
 
 def run(capsys, *argv):
@@ -129,6 +129,8 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
         ({}, ("marks", "--group", "A99999999999"), "group order exceeded cap 50000"),
         ({}, ("marks", "--group", "S2xS99999999999"), "group order exceeded cap 50000"),
         ({}, ("marks", "--group", "Y1,99999999999"), "group order exceeded cap 50000"),
+        # past the 4300 digits int() reads: more digits than the cap, so past it
+        ({}, ("marks", "--group", "S" + "9" * 5000), "group order exceeded cap 50000"),
     ]:
         with monkeypatch.context() as m:
             for name, value in env.items():
@@ -137,6 +139,37 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
         assert code == 2, argv
         assert out == ""
         assert err.startswith("error:") and marker in err, argv
+
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("marks", "--group", "S8"),
+        ("marks", "--group", "S6xS2"),
+        ("functor-value", "--functor", "burnside", "--group", "S8"),
+        ("section", "--n", "3", "--with-product-group", "S7"),
+    ],
+)
+def test_lattice_cap_refuses_spec_before_any_group_is_built(capsys, monkeypatch, argv):
+    """Orders within the group cap but past the lattice cap are refused from
+    the spec alone: the first cap the order passes names the error."""
+    built = []
+    original = PermGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermGroup, "__init__", counting_init)
+    code, out, err = run(capsys, "--no-cache", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "subgroup lattice order exceeded cap 1000" in err
+    assert built == []
+    # the same specs still build under a group-only command
+    if argv[0] == "marks":
+        assert run(capsys, "--no-cache", "functor-value", "--functor", "repring", *argv[1:])[0] == 0
+        assert built
 
 
 ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"

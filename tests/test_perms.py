@@ -43,6 +43,7 @@ from globfun.perms import (
     young_two_block,
     _orbits,
 )
+from globfun.repring import RepRingFunctor
 
 
 def test_perm_parse_roundtrip():
@@ -153,11 +154,14 @@ def test_close_generators_matches_reference(case):
     degree, gens = case
     want = reference_close(degree, gens, cap=5040)
     got = close_generators(degree, gens)
-    assert [p.images for p in got] == [p.images for p in want]
-    for p in got:
+    assert type(got) is frozenset and got == {p.images for p in want}
+    # the group's elements are the closure's tuples as sorted Perms
+    elements = PermGroup(degree, gens).elements
+    assert [p.images for p in elements] == [p.images for p in want]
+    for p in elements:
         assert type(p) is Perm and type(p.images) is tuple
         assert p.degree == degree and p._hash == hash(p.images)
-    assert set(got) == set(want)
+    assert set(elements) == set(want)
     # the cap is the largest order that passes
     assert len(close_generators(degree, gens, cap=len(want))) == len(want)
     with pytest.raises(CapExceededError):
@@ -254,9 +258,10 @@ def test_group_hom_matches_reference(case):
             GroupHom(source, target, images)
         return
     hom = GroupHom(source, target, images)
-    # keyed by the source elements' own image tuples, in element order
+    # keyed by the source elements' own image tuples
     assert len(hom.table) == source.order
-    assert all(k is x.images for k, x in zip(hom.table, source.elements))
+    own = {x.images: x.images for x in source.elements}
+    assert all(own[k] is k for k in hom.table)
     assert hom.table == {x.images: v.images for x, v in want.items()}
     assert all(hom(x) == v for x, v in want.items())
     for v in hom.table.values():
@@ -395,8 +400,8 @@ def test_from_elements_rejects_non_subgroups():
 @pytest.mark.parametrize("degree", [0, 1])
 def test_kernel_at_degree_zero_and_one(degree):
     e = Perm.identity(degree)
-    assert close_generators(degree, []) == [e]
-    assert close_generators(degree, [e, e]) == [e]
+    assert close_generators(degree, []) == {e.images}
+    assert close_generators(degree, [e, e]) == {e.images}
     group = PermGroup(degree, [e])
     assert group.conjugacy_classes() == ((e,),)
     assert group.conjugacy_classes()[0][0] is group.elements[0]
@@ -583,8 +588,9 @@ def _wrong_image_count():
 def _callable_not_a_hom():
     # agrees with the identity map on the generators and e, sends the rest to e
     s3 = symmetric_group(3)
-    gens = set(s3.generators) | {s3.identity}
-    return GroupHom.from_callable(s3, s3, lambda x: x if x in gens else s3.identity)
+    e = s3.identity.images
+    gens = {g.images for g in s3.generators} | {e}
+    return GroupHom.from_callable(s3, s3, lambda x: x if x in gens else e)
 
 
 @pytest.mark.parametrize(
@@ -600,6 +606,30 @@ def _callable_not_a_hom():
 def test_group_hom_rejects(build, error):
     with pytest.raises(error):
         build()
+
+
+def test_from_callable_maps_image_tuples():
+    s3 = symmetric_group(3)
+    assert GroupHom.from_callable(s3, s3, lambda x: x).table == {x: x for x in s3.image_set}
+    # the least element where fn and the homomorphism part: (2 3) = (1, 3, 2)
+    with pytest.raises(NotAHomomorphismError, match=r"^not a homomorphism at \(2 3\)$"):
+        _callable_not_a_hom()
+    # (1 2 3) is outside the block subgroup preserving {1, 2} and {3}
+    with pytest.raises(NotAHomomorphismError, match="outside target"):
+        GroupHom.from_callable(s3, young_two_block(3, 2), lambda x: x)
+    # a value outside the target at a non-generator, here a degree-2 tuple
+    with pytest.raises(NotAHomomorphismError, match="not a homomorphism at"):
+        GroupHom.from_callable(s3, s3, lambda x: x if x in s3.image_set - {(3, 2, 1)} else (2, 1))
+
+
+def test_elements_built_only_when_read():
+    inc = standard_inclusion(7)
+    RepRingFunctor().res(inc)
+    assert inc.source._elements is None and inc.target._elements is None
+    # the Perms wrap image_set's own tuple objects
+    g = inc.target
+    assert {id(x.images) for x in g.elements} == {id(t) for t in g.image_set}
+    assert g.elements is g.elements
 
 
 def test_standard_inclusion():

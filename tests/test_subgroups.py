@@ -16,7 +16,6 @@ from globfun.perms import (
     PermGroup,
     Perm,
     alternating_group,
-    close_generators,
     conjugate_subgroup,
     product_group,
     symmetric_group,
@@ -37,7 +36,7 @@ def brute_force_classes(group):
     degree = group.degree
     cyclics = {}
     for x in group.elements:
-        cyclics.setdefault(frozenset(close_generators(degree, [x])), x)
+        cyclics.setdefault(frozenset(PermGroup(degree, [x]).elements), x)
     gens_of = {cset: [cgen] for cset, cgen in cyclics.items()}
     frontier = set(gens_of)
     while frontier:
@@ -47,7 +46,7 @@ def brute_force_classes(group):
                 if cset <= hset:
                     continue
                 gens = gens_of[hset] + [cgen]
-                j = frozenset(close_generators(degree, gens))
+                j = frozenset(PermGroup(degree, gens).elements)
                 if j not in gens_of:
                     gens_of[j] = gens
                     new.add(j)
