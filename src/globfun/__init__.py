@@ -45,6 +45,7 @@ from .characters import (
     inner_product,
     mn_character,
     partitions,
+    pieri_matrix,
     restrict_classfunction,
 )
 from .functors import (

@@ -3,15 +3,16 @@
 The value at G is free abelian on the transitive G-sets [G/H], one basis
 vector per conjugacy class of subgroups.  Restriction along alpha: K -> G
 regards G/H as a K-set through alpha and decomposes it into orbits
-(`perms._orbits` on the least members of the cosets), each identified by
-the conjugacy class of its stabilizer.  Transfer along H <= G
-just re-reads an H-set as a G-set on the same cosets: [H/L] goes to [G/L].
+(`perms._orbits` on the least members of the cosets, which the lattice of
+G keeps per class), each identified by the conjugacy class of its
+stabilizer.  Transfer along H <= G just re-reads an H-set as a G-set on
+the same cosets: [H/L] goes to [G/L].
 """
 
 from .errors import MathCheckError
 from .functors import FreeAbelian, GlobalFunctor
 from .linalg import zeros
-from .perms import PermGroup, _coset_moves, _orbits, _right_mul, left_coset_reps
+from .perms import PermGroup, _coset_moves, _orbits, _right_mul
 from .subgroups import DEFAULT_MAX_LATTICE_ORDER, subgroup_classes
 
 
@@ -36,8 +37,8 @@ class BurnsideFunctor(GlobalFunctor):
         values = set(alpha.table.values())
         gen_images = [v.images for v in alpha.gen_images]
         matrix = zeros(len(lat_k), len(lat_g))
-        for j, cls in enumerate(lat_g.classes):
-            coset_of, reps = left_coset_reps(g, cls.representative)
+        for j in range(len(lat_g)):
+            coset_of, reps = lat_g.cosets(j)
             for orbit in _orbits(reps, _coset_moves(coset_of, reps, gen_images)):
                 # x fixes the coset r H when alpha(x) r lies in it
                 start = coset_of[orbit[0]]

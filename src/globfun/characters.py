@@ -22,6 +22,12 @@ times as x runs over G.  So the sum of phi(x^-1 g x) over G reduces to
 per-class fusion counts built from the class sizes both tables already
 hold (Sagan, The Symmetric Group, section 1.12), and no element of G is
 enumerated.
+
+Along the tower Sym(0) <= Sym(1) <= ... the splitting needs even less: on
+irreducibles, restriction to Sym(n-1) removes one box (the branching rule)
+and inflate-then-induce from Sym(k) x Sym(n-k) adds a horizontal strip of
+n-k boxes (Pieri's rule), so `pieri_matrix` reads both off partitions with
+no table and no group.
 """
 
 from __future__ import annotations
@@ -99,6 +105,28 @@ def mn_character(lam: Partition, mu: Partition) -> int:
         newlam = tuple(x for x in newlam if x > 0)
         total += (-1) ** jumped * mn_character(newlam, rest)
     return total
+
+
+def _horizontal_strip(lam: Partition, mu: Partition) -> bool:
+    """mu / lam is a horizontal strip: mu_1 >= lam_1 >= mu_2 >= lam_2 >= ..."""
+    if len(lam) > len(mu):
+        return False
+    lam = lam + (0,) * (len(mu) - len(lam))
+    return all(m >= l for m, l in zip(mu, lam)) and all(l >= m for l, m in zip(lam, mu[1:]))
+
+
+def pieri_matrix(k: int, n: int) -> list[list[int]]:
+    """Inflation along Sym(k) x Sym(n-k) -> Sym(k) followed by induction to
+    Sym(n), on irreducibles: column lam (a partition of k) is the sum of the
+    mu of n with mu / lam a horizontal (n-k)-strip (Pieri's rule; Macdonald
+    I.5, Sagan 4.9).  Rows and columns follow `partitions`.
+
+    Its transpose at k = n - 1 is restriction Sym(n) -> Sym(n-1), the
+    branching rule: remove one box (Sagan 2.8).  No group is built.
+    """
+    if not 0 <= k <= n:
+        raise UsageError(f"need 0 <= k <= n, got k={k}, n={n}")
+    return [[int(_horizontal_strip(lam, mu)) for lam in partitions(k)] for mu in partitions(n)]
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,13 @@ class Config:
 
 def _group(config: Config, spec: str, lattice: bool):
     """Build the group a spec names, once its order has met the caps."""
-    _check_order(config, _spec_order_factors(spec, config.max_group_order), lattice)
+    _check_spec(config, spec, lattice)
     return parse_group_spec(spec, cap=config.max_group_order)
+
+
+def _check_spec(config: Config, spec: str, lattice: bool):
+    """Refuse a spec whose order passes the caps, from the spec alone."""
+    _check_order(config, _spec_order_factors(spec, config.max_group_order), lattice)
 
 
 def _check_order(config: Config, factors, lattice: bool):
@@ -91,10 +96,12 @@ def _functor(config: Config, name: str):
 
 def _cmd_marks(config, cache, args):
     key = args.group.strip()
-    # caps are checked before the cache lookup, so warm and cold runs agree
-    g = _group(config, args.group, True)
+    # caps are checked before the cache lookup, so warm and cold runs agree;
+    # the group itself is built only on a miss
+    _check_spec(config, args.group, True)
     payload = cache.get("marks", key)
     if payload is None:
+        g = parse_group_spec(args.group, cap=config.max_group_order)
         lat, marks = table_of_marks(g, cap=config.max_lattice_order)
         payload = {
             "group": key,

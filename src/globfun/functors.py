@@ -34,6 +34,7 @@ from .perms import (
     standard_inclusion,
     symmetric_group,
     young_subgroup,
+    young_two_block,
 )
 
 
@@ -137,6 +138,11 @@ class GlobalFunctor:
     memo tables (keyed by group image sets and by `GroupHom.key`, and for
     the splitting layer's kernel bases and psi maps by level), shape
     checks, and the subgroup precondition on transfers.
+
+    The splitting layer reads F along the tower Sym(0) <= Sym(1) <= ...
+    only through `tower_value`, `tower_res` and `tower_psi`.  The defaults
+    here build the groups and go through `value`, `res` and `tr`; an
+    instance that knows these maps in closed form overrides all three.
     """
 
     name = "functor"
@@ -174,6 +180,24 @@ class GlobalFunctor:
             got = ZMap(self.value(h), self.value(g), self._tr_matrix(h, g))
             self._tr_memo[k] = got
         return got
+
+    def tower_value(self, n: int) -> FreeAbelian:
+        """F(Sym(n))."""
+        return self.value(symmetric_group(n))
+
+    def tower_res(self, n: int):
+        """The matrix of F(i_n): F(Sym(n)) -> F(Sym(n-1)), for n >= 1."""
+        return self.res(standard_inclusion(n)).matrix
+
+    def tower_psi(self, k: int, n: int):
+        """The matrix of F(Sym(k)) -> F(Sym(n)) that restricts along the block
+        projection Sym(k) x Sym(n-k) -> Sym(k) and transfers up; at k = 0,
+        restriction along Sym(n) -> e."""
+        if k == 0:
+            return self.res(terminal_hom(symmetric_group(n))).matrix
+        y = young_two_block(n, k)
+        inflate = self.res(restrict_to_block(y, range(1, k + 1))).matrix
+        return mat_mul(self.tr(y, symmetric_group(n)).matrix, inflate)
 
     def _value(self, g: PermGroup) -> FreeAbelian:
         raise NotImplementedError

@@ -31,6 +31,7 @@ its `table`, image tuple -> image tuple.
 from __future__ import annotations
 
 import re
+from itertools import combinations
 from math import lcm
 from operator import itemgetter
 
@@ -747,10 +748,13 @@ def left_coset_reps(g: PermGroup, h: PermGroup) -> tuple[dict, list[tuple]]:
     if not h <= g:
         raise NotASubgroupError("cosets need h <= g")
     muls = [_right_mul(t) for t in h.image_set]
-    coset_of = {}
+    elements = sorted(g.image_set)
+    # keyed by g's own tuples: an update keeps the key already present, so
+    # the products below are dropped and a kept map holds no copies
+    coset_of = dict.fromkeys(elements)
     reps = []
-    for x in sorted(g.image_set):  # so an unseen x is least in xH
-        if x not in coset_of:
+    for x in elements:  # so an unseen x is least in xH
+        if coset_of[x] is None:
             coset_of.update(dict.fromkeys([mul(x) for mul in muls], len(reps)))
             reps.append(x)
     return coset_of, reps
@@ -786,15 +790,12 @@ def fused_pairs(h: PermGroup, g: PermGroup) -> list[tuple[Perm, Perm]]:
     """
     if not h <= g:
         raise NotASubgroupError("fusion needs h <= g")
-    g_index = g.class_index()
-    by_g_class: dict[int, list[Perm]] = {}
-    for rep in h.class_representatives():
-        by_g_class.setdefault(g_index[rep], []).append(rep)
-    out = []
-    for reps in by_g_class.values():
-        if len(reps) > 1:
-            reps = sorted(reps)
-            for i in range(len(reps)):
-                for j in range(i + 1, len(reps)):
-                    out.append((reps[i], reps[j]))
-    return sorted(out)
+    return _pairs_sharing_key(h.class_representatives(), g.class_index().__getitem__)
+
+
+def _pairs_sharing_key(reps, key) -> list[tuple[Perm, Perm]]:
+    """The sorted pairs (a, b), a < b, of members of `reps` with equal `key`."""
+    by_key: dict = {}
+    for rep in reps:
+        by_key.setdefault(key(rep), []).append(rep)
+    return sorted(pair for group in by_key.values() for pair in combinations(sorted(group), 2))

@@ -5,15 +5,22 @@ partitions (one per block of the group).  Restriction pulls a character back
 along the homomorphism and rewrites it in the target's irreducible basis;
 transfer is character induction.  Both decompositions are exact and their
 failure to be integral would signal a bug, not a data condition.
+
+Along the tower Sym(0) <= Sym(1) <= ... all three maps the splitting reads
+are partition combinatorics (`characters.pieri_matrix`), so they need
+neither a group nor a character table.
 """
 
 from .characters import (
     character_table,
     decompose_into_irreducibles,
     induce_classfunction,
+    partitions,
+    pieri_matrix,
     restrict_classfunction,
 )
 from .functors import FreeAbelian, GlobalFunctor
+from .linalg import transpose
 
 
 class RepRingFunctor(GlobalFunctor):
@@ -37,3 +44,14 @@ class RepRingFunctor(GlobalFunctor):
             for j in range(th.rank)
         ]
         return list(map(list, zip(*cols)))
+
+    def tower_value(self, n):
+        # one block, so one partition per label; Sym(0) is realised on one
+        # point, like Sym(1), so its label is the partition (1)
+        return FreeAbelian((lam,) for lam in partitions(n or 1))
+
+    def tower_res(self, n):
+        return transpose(pieri_matrix(n - 1, n))
+
+    def tower_psi(self, k, n):
+        return pieri_matrix(k, n)

@@ -12,13 +12,21 @@ level, and verify_dcf_symmetric checks the double coset identity that makes
 the induction step work.  kernel_basis and psi are memoized on the functor
 instance, keyed by level, so repeated decompositions build each map once.
 
+Kernels, psi maps and splitting_report read the functor only through its
+tower maps (`GlobalFunctor.tower_value`, `tower_res`, `tower_psi`).  For
+the representation ring these are the branching and Pieri rules, so its
+certificate builds no group; the Burnside functor builds the groups.
+
 The alternating story is the opposite: for n >= 5 restriction out of A_n
 need not be surjective, witnessed by conjugacy fusion, and the low cases
 n = 3, 4 still split because a unique group-homomorphism retraction exists.
+The fusion search reads only class data of A_{n-1}: an element's A_n-class
+is its cycle type, split by the parity of a conjugator when the cycle type
+has distinct odd parts.
 """
 
 from .errors import MathCheckError, UsageError
-from .functors import FreeAbelian, GlobalFunctor, ZMap, terminal_hom
+from .functors import FreeAbelian, GlobalFunctor, ZMap
 from .linalg import (
     det_exact,
     identity_matrix,
@@ -33,10 +41,9 @@ from .perms import (
     Perm,
     PermGroup,
     _conjugator,
+    _pairs_sharing_key,
     all_homs,
     alternating_group,
-    fused_pairs,
-    restrict_to_block,
     standard_inclusion,
     symmetric_group,
     young_two_block,
@@ -58,9 +65,8 @@ def kernel_basis(f: GlobalFunctor, k: int):
 
 def _kernel_basis(f: GlobalFunctor, k: int):
     if k == 0:
-        return identity_matrix(f.value(symmetric_group(0)).rank)
-    m = f.res(standard_inclusion(k)).matrix
-    return integer_kernel([list(r) for r in m])
+        return identity_matrix(f.tower_value(0).rank)
+    return integer_kernel([list(r) for r in f.tower_res(k)])
 
 
 def _kernel_space(k: int, rank: int) -> FreeAbelian:
@@ -79,17 +85,8 @@ def psi(f: GlobalFunctor, k: int, n: int) -> ZMap:
 
 def _psi(f: GlobalFunctor, k: int, n: int) -> ZMap:
     basis = kernel_basis(f, k)
-    src = _kernel_space(k, len(basis))
-    target = f.value(symmetric_group(n))
-    if k == 0:
-        return ZMap(src, target, f.res(terminal_hom(symmetric_group(n))).matrix)
-    y = young_two_block(n, k)
-    first_block = restrict_to_block(y, range(1, k + 1))
-    m = mat_mul(
-        f.tr(y, symmetric_group(n)).matrix,
-        mat_mul(f.res(first_block).matrix, transpose(basis)),
-    )
-    return ZMap(src, target, m)
+    m = mat_mul(f.tower_psi(k, n), transpose(basis))
+    return ZMap(_kernel_space(k, len(basis)), f.tower_value(n), m)
 
 
 class DcfCheck:
@@ -210,7 +207,7 @@ def splitting_report(f: GlobalFunctor, n: int) -> SplittingReport:
     """
     if n < 0:
         raise UsageError("n must be >= 0")
-    value_rank = f.value(symmetric_group(n)).rank
+    value_rank = f.tower_value(n).rank
     bases = [kernel_basis(f, k) for k in range(n + 1)]
     psis = [psi(f, k, n) for k in range(n + 1)]
     if sum(len(b) for b in bases) != value_rank:
@@ -224,13 +221,13 @@ def splitting_report(f: GlobalFunctor, n: int) -> SplittingReport:
     if abs(det) != 1:
         raise MathCheckError(f"assembled splitting matrix has determinant {det}")
     if n >= 1:
-        down = [list(r) for r in f.res(standard_inclusion(n)).matrix]
+        down = [list(r) for r in f.tower_res(n)]
         for k in range(n):
             lifted = mat_mul(down, [list(r) for r in psis[k].matrix])
             lower = [list(r) for r in psi(f, k, n - 1).matrix]
             if not mat_eq(lifted, lower):
                 raise MathCheckError(f"ladder relation fails at k={k}, n={n}")
-        prev_rank = f.value(symmetric_group(n - 1)).rank
+        prev_rank = f.tower_value(n - 1).rank
         for j in range(prev_rank):
             e = [1 if i == j else 0 for i in range(prev_rank)]
             if solve_exact(down, e) is None:
@@ -347,10 +344,29 @@ def non_splitting_witness_alternating(n: int) -> AlternatingFusionReport:
     """
     if not 5 <= n <= 8:
         raise UsageError("the fusion search covers 5 <= n <= 8")
-    g = alternating_group(n)
     h = embedded_alternating(n)
-    pairs = fused_pairs(h, g)
+    pairs = _pairs_sharing_key(h.class_representatives(), _alternating_class_key)
     return AlternatingFusionReport(n, pairs, len(h.conjugacy_classes()))
+
+
+def _alternating_class_key(p: Perm):
+    """A key that two even permutations of one degree share exactly when
+    they are conjugate in Alt(n), computed from p alone.
+
+    A Sym(n)-class of even permutations splits in Alt(n) exactly when its
+    cycle type has distinct odd parts.  Then the centralizer in Sym(n) is
+    generated by the cycles themselves, all even, so every conjugator from
+    a fixed element of that type onto p has the same parity, and that
+    parity names the Alt(n)-class.  The conjugator used reads p's cycles,
+    longest first, then its fixed point, as one word; with distinct parts
+    the word is unique up to rotating odd cycles, which keeps its parity.
+    """
+    mu = p.cycle_type()
+    if len(set(mu)) < len(mu) or any(part % 2 == 0 for part in mu):
+        return mu
+    word = [x for c in sorted(p.cycles(), key=len, reverse=True) for x in c]
+    word += [x for x in range(1, p.degree + 1) if p(x) == x]
+    return mu, Perm(word).is_even()
 
 
 def alternating_retractions(n: int):

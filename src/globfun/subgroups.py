@@ -55,12 +55,21 @@ class SubgroupClass:
 class SubgroupLattice:
     """All subgroups of a group, grouped into conjugacy classes."""
 
-    __slots__ = ("group", "classes", "_class_of")
+    __slots__ = ("group", "classes", "_class_of", "_cosets")
 
     def __init__(self, group, classes, class_of):
         self.group = group
         self.classes = classes
         self._class_of = class_of
+        self._cosets = [None] * len(classes)
+
+    def cosets(self, i: int):
+        """`left_coset_reps` of the group by the representative of class i,
+        built once per class and shared by Burnside restriction and marks."""
+        got = self._cosets[i]
+        if got is None:
+            got = self._cosets[i] = left_coset_reps(self.group, self.classes[i].representative)
+        return got
 
     def class_of(self, eset: frozenset) -> int:
         """Index of the class of the subgroup whose image_set is eset."""
@@ -162,7 +171,7 @@ def table_of_marks(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER):
     lat = subgroup_classes(group, cap)
     marks = []
     for ci in lat.classes:
-        coset_of, reps = left_coset_reps(group, ci.representative)
+        coset_of, reps = lat.cosets(ci.index)
         muls = [_right_mul(r) for r in reps]  # t -> t r, t acting on the coset r H
         row = []
         for cj in lat.classes:

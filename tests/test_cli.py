@@ -228,6 +228,33 @@ def test_marks_cache_roundtrip(capsys, tmp_path):
     assert warm == cold
 
 
+def test_warm_marks_builds_no_group(capsys, tmp_path, built_orders):
+    argv = ("--cache-dir", str(tmp_path), "marks", "--group", "S5")
+    code, cold, _ = run(capsys, *argv)
+    assert code == 0 and built_orders
+    built_orders.clear()
+    code, warm, _ = run(capsys, *argv)
+    assert code == 0
+    assert warm == cold
+    assert built_orders == []
+
+
+def test_ru_split_reads_the_tower(capsys, monkeypatch, built_orders):
+    """The RU split builds no group, so a raised group cap reaches n = 12;
+    the cap is still checked on the order of Sym(n)."""
+    code, out, _ = run(capsys, "--no-cache", "split", "--functor", "repring", "--n", "7")
+    assert code == 0 and "component ranks: [1, 0, 1, 1, 2, 2, 4, 4]" in out
+    assert built_orders == []
+    for n in (9, 12):
+        code, out, err = run(capsys, "--no-cache", "split", "--functor", "repring", "--n", str(n))
+        assert code == 2 and out == "" and "group order exceeded cap 50000" in err
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "479001600")
+    code, out, err = run(capsys, "--no-cache", "split", "--functor", "repring", "--n", "12")
+    assert code == 0, err
+    assert "component ranks: [1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12, 14, 21] (total 77)" in out
+    assert built_orders == []
+
+
 def test_seed_controls_generated_element(capsys, monkeypatch):
     _, zero, _ = run(capsys, "--no-cache", "decompose", "--functor", "burnside", "--n", "2")
     _, zero_again, _ = run(capsys, "--no-cache", "decompose", "--functor", "burnside", "--n", "2")

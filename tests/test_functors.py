@@ -34,6 +34,7 @@ from globfun.perms import (
     trivial_subgroup,
     young_two_block,
 )
+from globfun import subgroups
 from globfun.repring import RepRingFunctor
 from globfun.subgroups import subgroup_classes
 
@@ -137,6 +138,25 @@ def test_burnside_res_matches_reference_on_conjugations():
         for target in (conjugate_subgroup(h, t), g):
             alpha = GroupHom.conjugation(h, target, t)
             assert BurnsideFunctor()._res_matrix(alpha) == reference_res_matrix(alpha)
+
+
+def test_burnside_cosets_built_once_per_class(monkeypatch):
+    """Restriction and marks share one coset map per (G, subgroup class):
+    the axiom probe at n = 4 used to rebuild one 884 times for 44 pairs."""
+    calls = []
+    original = subgroups.left_coset_reps
+
+    def counting(g, h):
+        calls.append((g.image_set, h.image_set))
+        return original(g, h)
+
+    monkeypatch.setattr(subgroups, "_lattice_memo", {})
+    monkeypatch.setattr(subgroups, "left_coset_reps", counting)
+    assert verify_axioms(BurnsideFunctor(), standard_probe(4)).all_passed
+    assert len(calls) == len(set(calls)) == 44
+    # restriction into Sym(4) already built a coset map for each of its classes
+    subgroups.table_of_marks(symmetric_group(4))
+    assert len(calls) == 44
 
 
 def test_burnside_value_ranks():

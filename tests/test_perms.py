@@ -353,6 +353,8 @@ def test_cosets_and_normalizer_match_reference(case):
     assert reps == [r.images for r in want]
     assert len(coset_of) == g.order
     assert all(reps[coset_of[x.images]] == rep_of[x].images for x in g.elements)
+    # keyed by g's own tuples, so a kept coset map holds no copies of them
+    assert all(key is x.images for key, x in zip(coset_of, g.elements))
     assert double_cosets(g, h, k) == reference_double_cosets(g, h, k)
     norm = normalizer(g, h)
     assert norm.elements == tuple(reference_normalizer(g, h))

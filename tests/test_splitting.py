@@ -9,12 +9,15 @@ for the representation ring they are partition-count differences.
 import hashlib
 import json
 import random
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from globfun.burnside import BurnsideFunctor
 from globfun.errors import MathCheckError, UsageError
-from globfun.functors import CorruptedTransfer
+from globfun.functors import CorruptedTransfer, GlobalFunctor
 from globfun.repring import RepRingFunctor
 from globfun.splitting import (
     alternating_retractions,
@@ -29,7 +32,7 @@ from globfun.splitting import (
 )
 from globfun import characters, subgroups
 from globfun.characters import partition_count
-from globfun.perms import PermGroup, symmetric_group, young_two_block
+from globfun.perms import PermGroup, alternating_group, fused_pairs, symmetric_group, young_two_block
 
 
 def test_kernel_basis_low_burnside():
@@ -124,6 +127,49 @@ def test_splitting_report_repring():
         assert d["component_ranks"] == list(expect)
 
 
+# one instance per functor, so the group path's memos stay warm across examples
+TOWER_RU = RepRingFunctor()
+ROUND_TRIP = [(TOWER_RU, 6), (BurnsideFunctor(), 4)]  # (functor, largest n)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@given(st.integers(0, 7).flatmap(lambda n: st.tuples(st.integers(0, n), st.just(n))))
+def test_ru_tower_equals_group_path(kn):
+    """Partitions, branching and Pieri against values, restriction and
+    transfer computed on the groups by the GlobalFunctor defaults."""
+    k, n = kn
+    f = TOWER_RU
+    assert f.tower_value(n) == GlobalFunctor.tower_value(f, n) == f.value(symmetric_group(n))
+    if n >= 1:
+        assert list(map(list, f.tower_res(n))) == list(map(list, GlobalFunctor.tower_res(f, n)))
+    assert list(map(list, f.tower_psi(k, n))) == list(map(list, GlobalFunctor.tower_psi(f, k, n)))
+
+
+@st.composite
+def tower_vectors(draw):
+    f, n_max = draw(st.sampled_from(ROUND_TRIP))
+    n = draw(st.integers(0, n_max))
+    rank = f.value(symmetric_group(n)).rank
+    return f, n, tuple(draw(st.lists(st.integers(-50, 50), min_size=rank, max_size=rank)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(tower_vectors())
+def test_decompose_reassemble_round_trip_property(case):
+    f, n, x = case
+    parts = decompose(f, n, x)
+    assert [len(p) for p in parts] == [len(kernel_basis(f, k)) for k in range(n + 1)]
+    assert reassemble(f, n, parts) == x
+
+
+def test_ru_certificate_at_n12_builds_no_group(built_orders):
+    rep = splitting_report(RepRingFunctor(), 12)
+    assert list(rep.component_ranks) == [1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12, 14, 21]
+    assert sum(rep.component_ranks) == partition_count(12)
+    assert abs(rep.determinant) == 1
+    assert built_orders == []
+
+
 def test_decompose_hand_example():
     # x = [S2/e]: two points restrict to 2 [e/e], and the correction lands
     # on the kernel vector [S2/e] - 2 [S2/S2]
@@ -203,6 +249,8 @@ def test_memo_keys_hold_no_group():
     # memos key on image sets: a PermGroup key would keep its Perm elements alive
     functors = [RepRingFunctor(), BurnsideFunctor()]
     splitting_report(functors[0], 5)
+    # the RU split reads only the tower maps; the dcf check fills its group memos
+    verify_dcf_symmetric(functors[0], 2, 5)
     splitting_report(functors[1], 4)
     memos = [characters._table_memo, characters._fusion_memo, subgroups._lattice_memo]
     for f in functors:
@@ -244,6 +292,19 @@ def test_fusion_witness_n5():
     assert a.cycle_type() == (3, 1, 1) and b.cycle_type() == (3, 1, 1)
     assert rep.merged_rank == rep.class_count - 1
     assert any("fuse" in line for line in rep.summary_lines())
+
+
+def test_fusion_matches_fused_pairs_without_building_alt_n(built_orders):
+    reports = {}
+    for n in range(5, 9):
+        built_orders.clear()
+        reports[n] = non_splitting_witness_alternating(n)
+        assert max(built_orders) == factorial(n - 1) // 2
+    for n, rep in reports.items():
+        h = embedded_alternating(n)
+        assert rep.pairs == fused_pairs(h, alternating_group(n))
+        assert rep.class_count == len(h.conjugacy_classes())
+    assert [len(reports[n].pairs) for n in range(5, 9)] == [1, 0, 1, 0]
 
 
 def test_fusion_witness_range_rejected():
