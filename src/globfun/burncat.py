@@ -44,7 +44,7 @@ from .perms import (
     symmetric_group,
     all_homs,
 )
-from .subgroups import DEFAULT_MAX_LATTICE_ORDER, subgroup_classes
+from .subgroups import subgroup_classes
 
 
 class CanonicalPair:
@@ -125,9 +125,9 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
     return CanonicalPair(sub, hom, (skey, hkey))
 
 
-def morphism_basis(source: PermGroup, target: PermGroup, lattice_cap=DEFAULT_MAX_LATTICE_ORDER):
+def morphism_basis(source: PermGroup, target: PermGroup):
     """All pair classes (H <= target, alpha: H -> source), sorted by key."""
-    lat = subgroup_classes(target, lattice_cap)
+    lat = subgroup_classes(target)
     found = {}
     for cls in lat.classes:
         for alpha in all_homs(cls.representative, source):
@@ -261,17 +261,16 @@ class RepresentedFunctor(GlobalFunctor):
     and gives the splitting machinery a hold on morphism groups themselves.
     """
 
-    def __init__(self, l_group: PermGroup, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER):
+    def __init__(self, l_group: PermGroup):
         super().__init__()
         self.l_group = l_group
         self.name = f"represented({l_group.name or l_group.degree})"
-        self._cap = lattice_cap
         self._bases = {}
 
     def basis(self, g: PermGroup):
         k = g.image_set
         if k not in self._bases:
-            self._bases[k] = morphism_basis(self.l_group, g, self._cap)
+            self._bases[k] = morphism_basis(self.l_group, g)
         return self._bases[k]
 
     def _coords(self, m: BurnsideCatMorphism, g: PermGroup):
@@ -340,7 +339,7 @@ class SectionReport:
         }
 
 
-def section_of_restriction(n: int, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER) -> SectionReport:
+def section_of_restriction(n: int) -> SectionReport:
     """A right inverse of i_n^* in the category, certified by composition.
 
     Solves the integer system over the basis of morphisms from Sym(n-1) to
@@ -348,14 +347,14 @@ def section_of_restriction(n: int, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER)
     is deterministic.  A second section is assembled from the level-by-level
     decomposition of the identity in the represented functor, which shares
     its morphism bases with the solver; both composites are checked against
-    the identity morphism, exactly.  Every subgroup lattice it builds
-    stops at `lattice_cap`.
+    the identity morphism, exactly.  Every group it builds meets the group
+    cap, and every subgroup lattice the lattice cap (`errors._cap`).
     """
     if n < 1:
         raise UsageError("n must be >= 1")
     prev = symmetric_group(n - 1)
     cur = symmetric_group(n)
-    rep = RepresentedFunctor(prev, lattice_cap)
+    rep = RepresentedFunctor(prev)
     inc = standard_inclusion(n)
     istar = BurnsideCatMorphism.restriction(inc)
     basis = rep.basis(cur)
@@ -402,9 +401,7 @@ def _on_second_factor(d: int, table):
     return fn
 
 
-def product_section(
-    g: PermGroup, section: SectionReport, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER
-) -> "ProductSectionReport":
+def product_section(g: PermGroup, section: SectionReport) -> "ProductSectionReport":
     """Pair every term of a section with the extra factor and verify it.
 
     Takes the solver's sigma for i_n from `section`, forms the morphism from
@@ -431,7 +428,7 @@ def product_section(
         alpha = GroupHom.from_callable(sub, big_prev, _on_second_factor(d, pair.hom.table))
         paired._add(canonical_pair(sub, alpha, big_cur), coeff)
 
-    burnside = BurnsideFunctor(lattice_cap)
+    burnside = BurnsideFunctor()
     act = paired.action_on(burnside)
     composite = burnside.res(big_inc).compose(act)
     ok = composite.is_identity()

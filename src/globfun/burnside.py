@@ -13,27 +13,20 @@ from .errors import MathCheckError
 from .functors import FreeAbelian, GlobalFunctor
 from .linalg import zeros
 from .perms import PermGroup, _coset_moves, _orbits, _right_mul
-from .subgroups import DEFAULT_MAX_LATTICE_ORDER, subgroup_classes
+from .subgroups import subgroup_classes
 
 
 class BurnsideFunctor(GlobalFunctor):
     name = "burnside"
 
-    def __init__(self, lattice_cap: int = DEFAULT_MAX_LATTICE_ORDER):
-        super().__init__()
-        self._cap = lattice_cap
-
-    def _lattice(self, g: PermGroup):
-        return subgroup_classes(g, self._cap)
-
     def _value(self, g: PermGroup) -> FreeAbelian:
-        lat = self._lattice(g)
+        lat = subgroup_classes(g)
         return FreeAbelian(tuple(f"[G/{cls.label()}]" for cls in lat.classes))
 
     def _res_matrix(self, alpha):
         k, g = alpha.source, alpha.target
-        lat_g = self._lattice(g)
-        lat_k = self._lattice(k)
+        lat_g = subgroup_classes(g)
+        lat_k = subgroup_classes(k)
         values = set(alpha.table.values())
         gen_images = [v.images for v in alpha.gen_images]
         matrix = zeros(len(lat_k), len(lat_g))
@@ -51,8 +44,8 @@ class BurnsideFunctor(GlobalFunctor):
         return matrix
 
     def _tr_matrix(self, h, g):
-        lat_h = self._lattice(h)
-        lat_g = self._lattice(g)
+        lat_h = subgroup_classes(h)
+        lat_g = subgroup_classes(g)
         matrix = zeros(len(lat_g), len(lat_h))
         for j, cls in enumerate(lat_h.classes):
             matrix[lat_g.class_of(cls.representative.image_set)][j] = 1

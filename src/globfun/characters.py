@@ -299,17 +299,20 @@ def character_table(group: PermGroup) -> CharacterTable:
     if hit is not None:
         return hit
     blocks = block_structure(group)
-    total = sum(len(b) for b in blocks if len(b) > 1)
-    if total > MAX_TABLE_N:
-        raise UnsupportedGroupError(f"table for moved degree {total} exceeds cap {MAX_TABLE_N}")
+    _check_moved_degree(sum(len(b) for b in blocks if len(b) > 1))
     table = _build_table(group, blocks)
     _table_memo[group.image_set] = table
     return table
 
 
+def _check_moved_degree(moved: int):
+    """Refuse a table whose blocks of size > 1 move more than MAX_TABLE_N points."""
+    if moved > MAX_TABLE_N:
+        raise UnsupportedGroupError(f"table for moved degree {moved} exceeds cap {MAX_TABLE_N}")
+
+
 def char_table_symmetric(n: int) -> CharacterTable:
-    if n > MAX_TABLE_N:
-        raise UnsupportedGroupError(f"n = {n} exceeds cap {MAX_TABLE_N}")
+    _check_moved_degree(n)
     return character_table(symmetric_group(n))
 
 

@@ -16,10 +16,10 @@ from itertools import chain
 from .burncat import product_section, section_of_restriction
 from .burnside import BurnsideFunctor
 from .cache import Cache
-from .characters import char_table_symmetric
-from .errors import GlobfunError, MathCheckError, NonIntegralError, UsageError
+from .characters import _check_moved_degree, char_table_symmetric
+from .errors import GlobfunError, MathCheckError, NonIntegralError, UsageError, _cap
 from .functors import standard_probe, verify_axioms
-from .perms import _check_order_factors, _spec_order_factors, parse_group_spec, symmetric_group
+from .perms import _check_order_factors, _read_group_spec, parse_group_spec, symmetric_group
 from .repring import RepRingFunctor
 from .splitting import (
     decompose,
@@ -31,61 +31,32 @@ from .splitting import (
 from .subgroups import table_of_marks
 
 
-class Config:
-    """Run-wide knobs; environment variables override the defaults."""
-
-    __slots__ = ("cache_dir", "max_group_order", "max_lattice_order", "seed", "output")
-
-    def __init__(self, cache_dir, max_group_order, max_lattice_order, seed, output):
-        self.cache_dir = cache_dir
-        self.max_group_order = max_group_order
-        self.max_lattice_order = max_lattice_order
-        self.seed = seed
-        self.output = output
-        if max_group_order <= 0 or max_lattice_order <= 0:
-            raise UsageError("caps must be positive")
-
-    @staticmethod
-    def from_args(args) -> "Config":
-        env = os.environ
-        cache_dir = args.cache_dir
-        if cache_dir is None:
-            cache_dir = env.get(
-                "GLOBFUN_CACHE_DIR", os.path.join(os.path.expanduser("~"), ".cache", "globfun")
-            )
-        try:
-            max_group = int(env.get("GLOBFUN_MAX_GROUP_ORDER", 50000))
-            max_lattice = int(env.get("GLOBFUN_MAX_LATTICE_ORDER", 1000))
-            seed = args.seed if args.seed is not None else int(env.get("GLOBFUN_SEED", 0))
-        except ValueError as exc:
-            raise UsageError(f"bad integer in environment: {exc}")
-        return Config(cache_dir, max_group, max_lattice, seed, args.output)
+def _check_spec(spec: str, lattice: bool):
+    """The sizes of a spec, once its order (factors 2..n for S<n>, 3..n for
+    A<n>, 2..k then 2..l) has met the caps, from the spec alone."""
+    family, sizes = _read_group_spec(spec)
+    _check_order((i for n in sizes for i in range(3 if family == "A" else 2, n + 1)), lattice)
+    return sizes
 
 
-def _group(config: Config, spec: str, lattice: bool):
-    """Build the group a spec names, once its order has met the caps."""
-    _check_spec(config, spec, lattice)
-    return parse_group_spec(spec, cap=config.max_group_order)
-
-
-def _check_spec(config: Config, spec: str, lattice: bool):
-    """Refuse a spec whose order passes the caps, from the spec alone."""
-    _check_order(config, _spec_order_factors(spec, config.max_group_order), lattice)
-
-
-def _check_order(config: Config, factors, lattice: bool):
+def _check_order(factors, lattice: bool):
     """Refuse before any work when the order, the running product of
     `factors`, passes the group cap, or the lattice cap for commands that
     build lattices.  The first cap passed names the error."""
-    caps = {"group order": config.max_group_order}
-    if lattice:
-        caps["subgroup lattice order"] = config.max_lattice_order
-    _check_order_factors(factors, caps)
+    whats = ("group order", "subgroup lattice order") if lattice else ("group order",)
+    _check_order_factors(factors, *whats)
 
 
-def _functor(config: Config, name: str):
+def _check_table(functor: str, *degrees):
+    """Refuse an RU command before any group is built when its groups move
+    more points than a character table covers; `degrees` are block sizes."""
+    if functor == "repring":
+        _check_moved_degree(sum(d for d in degrees if d > 1))
+
+
+def _functor(name: str):
     if name == "burnside":
-        return BurnsideFunctor(lattice_cap=config.max_lattice_order)
+        return BurnsideFunctor()
     if name == "repring":
         return RepRingFunctor()
     raise UsageError(f"unknown functor {name!r}")
@@ -94,15 +65,14 @@ def _functor(config: Config, name: str):
 # each command handler returns (payload, text_lines, ok)
 
 
-def _cmd_marks(config, cache, args):
+def _cmd_marks(cache, args):
     key = args.group.strip()
     # caps are checked before the cache lookup, so warm and cold runs agree;
     # the group itself is built only on a miss
-    _check_spec(config, args.group, True)
+    _check_spec(args.group, True)
     payload = cache.get("marks", key)
     if payload is None:
-        g = parse_group_spec(args.group, cap=config.max_group_order)
-        lat, marks = table_of_marks(g, cap=config.max_lattice_order)
+        lat, marks = table_of_marks(parse_group_spec(args.group))
         payload = {
             "group": key,
             "classes": [c.label() for c in lat.classes],
@@ -118,10 +88,10 @@ def _cmd_marks(config, cache, args):
     return payload, lines, True
 
 
-def _cmd_functor_value(config, cache, args):
-    f = _functor(config, args.functor)
-    g = _group(config, args.group, args.functor == "burnside")
-    value = f.value(g)
+def _cmd_functor_value(cache, args):
+    f = _functor(args.functor)
+    _check_table(args.functor, *_check_spec(args.group, args.functor == "burnside"))
+    value = f.value(parse_group_spec(args.group))
     payload = {
         "functor": args.functor,
         "group": args.group.strip(),
@@ -133,31 +103,34 @@ def _cmd_functor_value(config, cache, args):
     return payload, lines, True
 
 
-def _cmd_verify_axioms(config, cache, args):
-    _check_order(config, range(2, args.max_n + 1), args.functor == "burnside")
-    f = _functor(config, args.functor)
+def _cmd_verify_axioms(cache, args):
+    _check_order(range(2, args.max_n + 1), args.functor == "burnside")
+    _check_table(args.functor, args.max_n)
+    f = _functor(args.functor)
     report = verify_axioms(f, standard_probe(args.max_n))
     return report.to_dict(), report.summary_lines(), report.all_passed
 
 
-def _cmd_dcf(config, cache, args):
-    _check_order(config, range(2, args.n + 1), args.functor == "burnside")
-    f = _functor(config, args.functor)
+def _cmd_dcf(cache, args):
+    _check_order(range(2, args.n + 1), args.functor == "burnside")
+    _check_table(args.functor, args.n)
+    f = _functor(args.functor)
     check = verify_dcf_symmetric(f, args.k, args.n)
     return check.to_dict(), [check.summary()], check.passed
 
 
-def _cmd_split(config, cache, args):
-    _check_order(config, range(2, args.n + 1), args.functor == "burnside")
-    f = _functor(config, args.functor)
+def _cmd_split(cache, args):
+    _check_order(range(2, args.n + 1), args.functor == "burnside")
+    f = _functor(args.functor)
     report = splitting_report(f, args.n)
     return report.to_dict(), report.summary_lines(), True
 
 
-def _cmd_decompose(config, cache, args):
-    _check_order(config, range(2, args.n + 1), args.functor == "burnside")
-    f = _functor(config, args.functor)
-    rank = f.value(symmetric_group(args.n, config.max_group_order)).rank
+def _cmd_decompose(cache, args):
+    _check_order(range(2, args.n + 1), args.functor == "burnside")
+    _check_table(args.functor, args.n)
+    f = _functor(args.functor)
+    rank = f.value(symmetric_group(args.n)).rank
     if args.element is not None:
         try:
             x = json.loads(args.element)
@@ -168,7 +141,7 @@ def _cmd_decompose(config, cache, args):
         ):
             raise UsageError("--element must be a JSON array of integers")
     else:
-        rng = random.Random(config.seed)
+        rng = random.Random(args.seed)
         x = [rng.randint(-4, 4) for _ in range(rank)]
     parts = decompose(f, args.n, x)
     back = reassemble(f, args.n, parts)
@@ -186,20 +159,23 @@ def _cmd_decompose(config, cache, args):
     return payload, lines, True
 
 
-def _cmd_section(config, cache, args):
-    g = _group(config, args.with_product_group, True) if args.with_product_group else None
-    _check_order(config, chain([g.order if g else 1], range(2, args.n + 1)), True)
-    report = section_of_restriction(args.n, lattice_cap=config.max_lattice_order)
+def _cmd_section(cache, args):
+    g = None
+    if args.with_product_group:
+        _check_spec(args.with_product_group, True)
+        g = parse_group_spec(args.with_product_group)
+    _check_order(chain([g.order if g else 1], range(2, args.n + 1)), True)
+    report = section_of_restriction(args.n)
     payload = report.to_dict()
     lines = report.summary_lines()
     if g is not None:
-        prod = product_section(g, report, lattice_cap=config.max_lattice_order)
+        prod = product_section(g, report)
         payload["product"] = prod.to_dict()
         lines += prod.summary_lines()
     return payload, lines, True
 
 
-def _cmd_fusion(config, cache, args):
+def _cmd_fusion(cache, args):
     if args.family != "alternating":
         raise UsageError(f"unknown family {args.family!r}")
     text = args.n_range.strip()
@@ -214,7 +190,7 @@ def _cmd_fusion(config, cache, args):
         raise UsageError("empty --n-range")
     if not 5 <= lo <= hi <= 8:
         raise UsageError("the fusion search covers 5 <= n <= 8")
-    _check_order(config, range(3, hi + 1), False)
+    _check_order(range(3, hi + 1), False)
     payload = {"family": args.family, "reports": []}
     lines = []
     for n in range(lo, hi + 1):
@@ -224,7 +200,7 @@ def _cmd_fusion(config, cache, args):
     return payload, lines, True
 
 
-def _cmd_char_table(config, cache, args):
+def _cmd_char_table(cache, args):
     key = f"S{args.n}"
     payload = cache.get("char-table", key)
     if payload is None:
@@ -317,16 +293,30 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = Config.from_args(args)
-        cache = Cache(config.cache_dir, enabled=not args.no_cache)
-        payload, lines, ok = args.handler(config, cache, args)
+        # the caps and the seed are read before any command runs, so a bad
+        # value exits 2 on every command
+        _cap("group order")
+        _cap("subgroup lattice order")
+        if args.seed is None:
+            text = os.environ.get("GLOBFUN_SEED", "0")
+            try:
+                args.seed = int(text)
+            except ValueError:
+                raise UsageError(f"GLOBFUN_SEED must be an integer, got {text!r}")
+        cache_dir = args.cache_dir
+        if cache_dir is None:
+            cache_dir = os.environ.get(
+                "GLOBFUN_CACHE_DIR", os.path.join(os.path.expanduser("~"), ".cache", "globfun")
+            )
+        cache = Cache(cache_dir, enabled=not args.no_cache)
+        payload, lines, ok = args.handler(cache, args)
     except (MathCheckError, NonIntegralError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except GlobfunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if config.output == "json":
+    if args.output == "json":
         print(json.dumps(payload, sort_keys=True))
     else:
         for line in lines:

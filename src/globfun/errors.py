@@ -3,7 +3,12 @@
 Exit-code mapping in the CLI: MathCheckError and NonIntegralError exit 1,
 every other GlobfunError exits 2 with a one-line "error:" message, and a
 clean run exits 0.
+
+Caps are read here alone: `_cap` reads the variable `_CAPS` names at each
+check, so the library and the CLI always see the same value.
 """
+
+import os
 
 
 class GlobfunError(Exception):
@@ -45,3 +50,24 @@ class MathCheckError(GlobfunError):
 
 class UsageError(GlobfunError):
     """Bad arguments at the CLI boundary."""
+
+
+_CAPS = {
+    "group order": ("GLOBFUN_MAX_GROUP_ORDER", 50000),
+    "subgroup lattice order": ("GLOBFUN_MAX_LATTICE_ORDER", 1000),
+}
+
+
+def _cap(what: str) -> int:
+    """The cap on `what`, from the environment now; UsageError unless positive."""
+    name, default = _CAPS[what]
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        cap = int(text)
+    except ValueError:
+        cap = 0
+    if cap <= 0:
+        raise UsageError(f"{name} must be a positive integer, got {text!r}")
+    return cap

@@ -41,9 +41,8 @@ from .errors import (
     NotAHomomorphismError,
     NotASubgroupError,
     UsageError,
+    _cap,
 )
-
-DEFAULT_MAX_GROUP_ORDER = 50000
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
@@ -221,10 +220,10 @@ def _orbits(points, moves):
     return out
 
 
-def _join(hset, gens, cap):
+def _join(hset, gens, bound):
     """Element set of <gens> from that of H = <gens[:-1]>, one right coset
     H y at a time (Dimino): a coset representative times a generator outside
-    the known elements brings in a whole new coset.  Capped at `cap`."""
+    the known elements brings in a whole new coset.  Stops past `bound`."""
     found = set(hset)
     muls = [_right_mul(s) for s in gens]
     reps = [tuple(range(1, len(gens[0]) + 1))]
@@ -233,26 +232,25 @@ def _join(hset, gens, cap):
             y = mul(x)
             if y not in found:
                 found.update(map(_right_mul(y), hset))
-                if len(found) > cap:
-                    raise CapExceededError("group order", cap)
+                if len(found) > bound:
+                    raise CapExceededError("group order", bound)
                 reps.append(y)
     return frozenset(found)
 
 
-def close_generators(degree, generators, cap=DEFAULT_MAX_GROUP_ORDER):
+def close_generators(degree, generators):
     """The frozenset of image tuples of the group the generators generate.
 
     Closes one breadth-first layer per step: each generator's right
     multiplication maps the whole frontier at C level.  Raises
-    CapExceededError once more than `cap` elements are found, checked after
-    each layer, and at once when `cap` < 1, since every group has its identity.
+    CapExceededError once more elements are found than the group cap
+    allows, checked after each layer.
     """
     gens = list(generators)
     for g in gens:
         if g.degree != degree:
             raise UsageError(f"generator degree {g.degree} != {degree}")
-    if cap < 1:
-        raise CapExceededError("group order", cap)
+    cap = _cap("group order")
     muls = [_right_mul(g.images) for g in gens]
     frontier = found = {tuple(range(1, degree + 1))}
     while frontier:
@@ -283,10 +281,10 @@ class PermGroup:
         "_orbits",
     )
 
-    def __init__(self, degree, generators, cap=DEFAULT_MAX_GROUP_ORDER, name=""):
+    def __init__(self, degree, generators, name=""):
         self.degree = degree
         self.generators = tuple(generators)
-        self.image_set = close_generators(degree, self.generators, cap)
+        self.image_set = close_generators(degree, self.generators)
         self.order = len(self.image_set)
         self.name = name
         self._elements = self._classes = self._class_index = self._orbits = None
@@ -396,10 +394,11 @@ def _small_generating_set(degree, sorted_elems):
 # standard groups
 
 
-def _check_order_factors(factors, caps):
-    """Raise CapExceededError for the first cap in `caps` (what -> cap) that
-    the running product of `factors` passes, one factor at a time, so that a
-    huge order is refused after a few steps and before any element is built."""
+def _check_order_factors(factors, *whats):
+    """Raise CapExceededError for the first cap on `whats` that the running
+    product of `factors` passes, one factor at a time, so that a huge order
+    is refused after a few steps and before any element is built."""
+    caps = {what: _cap(what) for what in whats}
     order = 1
     for k in factors:
         order *= k
@@ -408,24 +407,25 @@ def _check_order_factors(factors, caps):
                 raise CapExceededError(what, cap)
 
 
-def symmetric_group(n: int, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
-    """Sym(n) on {1..n}; n = 0 and n = 1 are both the trivial group on one point."""
+def symmetric_group(n: int) -> PermGroup:
+    """Sym(n) on {1..n}, once n! meets the group cap; n = 0 and n = 1 are
+    both the trivial group on one point."""
     if n < 0:
         raise UsageError("n must be >= 0")
-    _check_order_factors(range(2, n + 1), {"group order": cap})
+    _check_order_factors(range(2, n + 1), "group order")
     if n <= 1:
         return PermGroup(1, [], name=f"S{max(n, 1)}")
     gens = [Perm.from_cycles(n, [(1, 2)])]
     if n > 2:
         gens.append(Perm.from_cycles(n, [tuple(range(1, n + 1))]))
-    return PermGroup(n, gens, cap, name=f"S{n}")
+    return PermGroup(n, gens, name=f"S{n}")
 
 
-def alternating_group(n: int, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
-    """Alt(n) on {1..n}; trivial for n <= 2."""
+def alternating_group(n: int) -> PermGroup:
+    """Alt(n) on {1..n}, once n!/2 meets the group cap; trivial for n <= 2."""
     if n < 0:
         raise UsageError("n must be >= 0")
-    _check_order_factors(range(3, n + 1), {"group order": cap})
+    _check_order_factors(range(3, n + 1), "group order")
     if n <= 2:
         return PermGroup(max(n, 1), [], name=f"A{max(n, 1)}")
     if n == 3:
@@ -434,19 +434,17 @@ def alternating_group(n: int, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
         gens = [Perm.from_cycles(n, [(1, 2, 3)]), Perm.from_cycles(n, [tuple(range(1, n + 1))])]
     else:
         gens = [Perm.from_cycles(n, [(1, 2, 3)]), Perm.from_cycles(n, [tuple(range(2, n + 1))])]
-    return PermGroup(n, gens, cap, name=f"A{n}")
+    return PermGroup(n, gens, name=f"A{n}")
 
 
-def young_subgroup(
-    degree: int, blocks, cap: int = DEFAULT_MAX_GROUP_ORDER, name: str | None = None
-) -> PermGroup:
+def young_subgroup(degree: int, blocks, name: str | None = None) -> PermGroup:
     """Product of full symmetric groups on disjoint blocks; other points fixed.
 
     Without a name, the group is named after its nontrivial blocks.  The
-    order, the product of the block factorials, meets `cap` first.
+    order, the product of the block factorials, meets the group cap first.
     """
     blocks = list(blocks)
-    _check_order_factors((k for b in blocks for k in range(2, len(b) + 1)), {"group order": cap})
+    _check_order_factors((k for b in blocks for k in range(2, len(b) + 1)), "group order")
     blocks = [tuple(sorted(b)) for b in blocks if len(b) > 0]
     used = set()
     for b in blocks:
@@ -462,16 +460,14 @@ def young_subgroup(
             gens.append(Perm.from_cycles(degree, [(a, c)]))
     if name is None:
         name = "x".join(f"S({','.join(map(str, b))})" for b in blocks if len(b) > 1) or "e"
-    return PermGroup(degree, gens, cap, name=name)
+    return PermGroup(degree, gens, name=name)
 
 
-def young_two_block(
-    n: int, k: int, cap: int = DEFAULT_MAX_GROUP_ORDER, name: str | None = None
-) -> PermGroup:
+def young_two_block(n: int, k: int, name: str | None = None) -> PermGroup:
     """The subgroup of Sym(n) preserving {1..k} and {k+1..n}."""
     if not 0 <= k <= n:
         raise UsageError(f"need 0 <= k <= n, got k={k}, n={n}")
-    return young_subgroup(n, [range(1, k + 1), range(k + 1, n + 1)], cap, name)
+    return young_subgroup(n, [range(1, k + 1), range(k + 1, n + 1)], name)
 
 
 def product_group(a: PermGroup, b: PermGroup) -> PermGroup:
@@ -492,40 +488,34 @@ _GROUP_SPEC_RE = re.compile(
 )
 
 
-def _read_group_spec(spec: str, cap: int):
+def _read_group_spec(spec: str):
     """The family ("S", "A", or "Y" for both S<k>xS<l> and Y<k>,<l>) and the
-    sizes of a group spec.  A size with more digits than `cap` is past it,
-    and so is the order the spec names; it is refused before int() reads it."""
+    sizes of a group spec.  A size with more digits than the group cap is
+    past it, as is the order the spec names; it is refused before int()."""
     m = _GROUP_SPEC_RE.match(spec.strip())
     if not m:
         raise UsageError(f"cannot parse group spec {spec!r}")
     sizes = [v for v in m.groups() if v is not None]
+    cap = _cap("group order")
     if any(len(v.lstrip("0")) > len(str(cap)) for v in sizes):
         raise CapExceededError("group order", cap)
     return ("S" if m["sn"] else "A" if m["an"] else "Y"), [int(v) for v in sizes]
 
 
-def _spec_order_factors(spec: str, cap: int):
-    """The factors, one at a time, of the order a group spec names (2..n for
-    S<n>, 3..n for A<n>, 2..k then 2..l), for `_check_order_factors`."""
-    family, sizes = _read_group_spec(spec, cap)
-    return (i for n in sizes for i in range(3 if family == "A" else 2, n + 1))
-
-
-def parse_group_spec(spec: str, cap: int = DEFAULT_MAX_GROUP_ORDER) -> PermGroup:
+def parse_group_spec(spec: str) -> PermGroup:
     """Build a group from the mini-language: S<n>, A<n>, S<k>xS<l>, Y<k>,<l>.
 
     S<k>xS<l> and Y<k>,<l> both give the block subgroup of Sym(k+l)
     preserving {1..k} and {k+1..k+l}; that subgroup is the concrete
     realization of the product used throughout.  Each constructor checks
-    the order the spec names (n!, n!/2 or k!l!) against `cap` before it
-    builds any element.
+    the order the spec names (n!, n!/2 or k!l!) against the group cap
+    before it builds any element.
     """
-    family, sizes = _read_group_spec(spec, cap)
+    family, sizes = _read_group_spec(spec)
     if family == "Y":
         k, l = sizes
-        return young_two_block(k + l, k, cap, name=f"S{k}xS{l}")
-    return (symmetric_group if family == "S" else alternating_group)(sizes[0], cap)
+        return young_two_block(k + l, k, name=f"S{k}xS{l}")
+    return (symmetric_group if family == "S" else alternating_group)(sizes[0])
 
 
 def trivial_subgroup(g: PermGroup) -> PermGroup:

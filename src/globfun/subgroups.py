@@ -21,10 +21,8 @@ failed lookup is a bug, not a condition to handle.
 
 from __future__ import annotations
 
-from .errors import CapExceededError, MathCheckError
+from .errors import CapExceededError, MathCheckError, _cap
 from .perms import Perm, PermGroup, _conjugator, _join, _orbits, _right_mul, left_coset_reps
-
-DEFAULT_MAX_LATTICE_ORDER = 1000
 
 _lattice_memo: dict = {}
 
@@ -104,9 +102,11 @@ def _cyclic_subgroups(elements):
     return cyclics, cyclic_of
 
 
-def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> SubgroupLattice:
+def subgroup_classes(group: PermGroup) -> SubgroupLattice:
     """The subgroup lattice of `group`, conjugacy classes sorted by order
-    then by a canonical key of the representative."""
+    then by a canonical key of the representative.  A group of order above
+    the lattice cap (`errors._cap`) is refused, memoized or not."""
+    cap = _cap("subgroup lattice order")
     if group.order > cap:
         raise CapExceededError("subgroup lattice order", cap)
     hit = _lattice_memo.get(group.image_set)
@@ -161,14 +161,14 @@ def subgroup_classes(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER) -> 
     return lattice
 
 
-def table_of_marks(group: PermGroup, cap: int = DEFAULT_MAX_LATTICE_ORDER):
+def table_of_marks(group: PermGroup):
     """Rows/columns over subgroup classes (lattice order): entry [i][j] is the
     number of cosets of classes[i] fixed by classes[j] acting on the left.
 
     Lower triangular because a fixed coset forces classes[j] to be
     subconjugate to classes[i].
     """
-    lat = subgroup_classes(group, cap)
+    lat = subgroup_classes(group)
     marks = []
     for ci in lat.classes:
         coset_of, reps = lat.cosets(ci.index)

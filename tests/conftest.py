@@ -1,8 +1,19 @@
-"""Fixtures shared by the test modules."""
+"""Fixtures shared by the test modules.
+
+Every GLOBFUN_* variable is dropped from the environment when this file is
+imported, before any test module is: some build groups at import time, and
+the library reads its caps at each check, so an exported cap would reach
+them.  Tests that need a cap set it with monkeypatch.setenv.
+"""
+
+import os
 
 import pytest
 
 from globfun.perms import PermGroup
+
+for _name in [name for name in os.environ if name.startswith("GLOBFUN_")]:
+    del os.environ[_name]
 
 
 @pytest.fixture

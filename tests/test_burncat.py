@@ -324,8 +324,8 @@ def test_section_reports_pair_missing_from_basis(monkeypatch):
     # a composite outside a (here truncated) basis is a failed check, not a KeyError
     full = burncat.morphism_basis
 
-    def truncated(source, target, *cap):
-        basis = full(source, target, *cap)
+    def truncated(source, target):
+        basis = full(source, target)
         return basis[:1] if target.degree == 2 else basis
 
     monkeypatch.setattr(burncat, "morphism_basis", truncated)
@@ -333,10 +333,11 @@ def test_section_reports_pair_missing_from_basis(monkeypatch):
         section_of_restriction(3)
 
 
-def test_section_honours_lattice_cap():
-    # every lattice the section builds stops at the caller's cap, not the default
+def test_section_honours_lattice_cap(monkeypatch):
+    # every lattice the section builds stops at the environment's cap
+    monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "10")
     with pytest.raises(CapExceededError) as exc:
-        section_of_restriction(4, lattice_cap=10)
+        section_of_restriction(4)
     assert exc.value.cap == 10
 
 

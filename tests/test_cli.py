@@ -141,6 +141,34 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
         assert err.startswith("error:") and marker in err, argv
 
 
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_bad_cap_exits_2_before_any_command(capsys, monkeypatch, value):
+    # char-table builds no lattice, and still reads the lattice cap first
+    monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", value)
+    code, out, err = run(capsys, "--no-cache", "char-table", "--n", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: GLOBFUN_MAX_LATTICE_ORDER") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decompose", "--functor", "repring", "--n", "9"),
+        ("dcf", "--functor", "repring", "--n", "9", "--k", "3"),
+        ("verify-axioms", "--functor", "repring", "--max-n", "9"),
+        ("functor-value", "--functor", "repring", "--group", "S9"),
+        ("functor-value", "--functor", "repring", "--group", "S2xS7"),
+    ],
+)
+def test_table_cap_refuses_before_any_group_is_built(capsys, monkeypatch, built_orders, argv):
+    """With a group cap that admits Sym(9), RU commands are refused by the
+    table cap from n or the spec alone."""
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "400000")
+    code, out, err = run(capsys, "--no-cache", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: table for moved degree 9 exceeds cap 8\n"
+    assert built_orders == []
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -186,7 +214,7 @@ def test_json_matches_benchmark_oracle(capsys):
 
 
 def test_math_failure_exits_1(capsys, monkeypatch):
-    def corrupted(config, name):
+    def corrupted(name):
         return CorruptedTransfer(
             BurnsideFunctor(), young_two_block(2, 1), symmetric_group(2)
         )

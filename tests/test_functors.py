@@ -10,7 +10,7 @@ import random
 import pytest
 
 from globfun.burnside import BurnsideFunctor
-from globfun.errors import NotASubgroupError, UsageError
+from globfun.errors import CapExceededError, NotASubgroupError, UsageError
 from globfun.functors import (
     AxiomProbe,
     CorruptedTransfer,
@@ -163,6 +163,13 @@ def test_burnside_value_ranks():
     A = BurnsideFunctor()
     assert A.value(symmetric_group(4)).rank == 11
     assert A.value(symmetric_group(3)).rank == 4
+
+
+def test_burnside_lattices_meet_the_environment_cap(monkeypatch):
+    monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "10")
+    with pytest.raises(CapExceededError) as exc:
+        BurnsideFunctor().value(symmetric_group(4))
+    assert exc.value.cap == 10
 
 
 def test_repring_value_ranks():

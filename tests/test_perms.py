@@ -114,10 +114,12 @@ def test_close_generators_orders():
     assert len(close_generators(5, gens)) == 60
 
 
-def test_close_generators_cap():
+def test_close_generators_cap(monkeypatch):
     gens = [Perm.parse("(1 2)", 4), Perm.parse("(1 2 3 4)", 4)]
-    with pytest.raises(CapExceededError):
-        close_generators(4, gens, cap=10)
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "10")
+    with pytest.raises(CapExceededError) as exc:
+        close_generators(4, gens)
+    assert exc.value.cap == 10
 
 
 def reference_close(degree, generators, cap):
@@ -162,10 +164,15 @@ def test_close_generators_matches_reference(case):
         assert type(p) is Perm and type(p.images) is tuple
         assert p.degree == degree and p._hash == hash(p.images)
     assert set(elements) == set(want)
-    # the cap is the largest order that passes
-    assert len(close_generators(degree, gens, cap=len(want))) == len(want)
-    with pytest.raises(CapExceededError):
-        close_generators(degree, gens, cap=len(want) - 1)
+    # the cap is the largest order that passes; caps must be positive, so
+    # |G| - 1 is tried only when |G| > 1
+    with pytest.MonkeyPatch.context() as m:
+        m.setenv("GLOBFUN_MAX_GROUP_ORDER", str(len(want)))
+        assert len(close_generators(degree, gens)) == len(want)
+        if len(want) > 1:
+            m.setenv("GLOBFUN_MAX_GROUP_ORDER", str(len(want) - 1))
+            with pytest.raises(CapExceededError):
+                close_generators(degree, gens)
 
 
 def reference_classes(group):
@@ -436,12 +443,15 @@ def test_parse_group_spec_minilanguage():
     assert parse_group_spec("S2xS3").name == "S2xS3"
 
 
-def test_parse_group_spec_cap_stops_closure():
+def test_parse_group_spec_cap_stops_closure(monkeypatch):
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "100")
     with pytest.raises(CapExceededError):
-        parse_group_spec("S5", cap=100)
+        parse_group_spec("S5")
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "35")
     with pytest.raises(CapExceededError):
-        parse_group_spec("S3xS3", cap=35)
-    assert parse_group_spec("S5", cap=120).order == 120
+        parse_group_spec("S3xS3")
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "120")
+    assert parse_group_spec("S5").order == 120
 
 
 def test_young_subgroup():

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from globfun.burnside import BurnsideFunctor
-from globfun.errors import MathCheckError, UsageError
+from globfun.errors import CapExceededError, MathCheckError, UsageError
 from globfun.functors import CorruptedTransfer, GlobalFunctor
 from globfun.repring import RepRingFunctor
 from globfun.splitting import (
@@ -33,6 +33,14 @@ from globfun.splitting import (
 from globfun import characters, subgroups
 from globfun.characters import partition_count
 from globfun.perms import PermGroup, alternating_group, fused_pairs, symmetric_group, young_two_block
+
+
+def test_library_groups_meet_the_environment_cap(monkeypatch):
+    # Sym(5) is built by the library itself, and closes under the same cap
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "100")
+    with pytest.raises(CapExceededError) as exc:
+        verify_dcf_symmetric(RepRingFunctor(), 2, 5)
+    assert exc.value.cap == 100
 
 
 def test_kernel_basis_low_burnside():

@@ -174,9 +174,16 @@ def test_alternating_lattice():
     assert len(subgroup_classes(alternating_group(5))) == 9
 
 
-def test_lattice_cap():
-    with pytest.raises(CapExceededError):
-        subgroup_classes(symmetric_group(7), cap=1000)
+def test_lattice_cap(monkeypatch):
+    with pytest.raises(CapExceededError) as exc:
+        subgroup_classes(symmetric_group(7))
+    assert exc.value.cap == 1000
+    # read at each call, and checked before the memo: S4's lattice is built first
+    subgroup_classes(symmetric_group(4))
+    monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "23")
+    with pytest.raises(CapExceededError) as exc:
+        subgroup_classes(symmetric_group(4))
+    assert exc.value.cap == 23
 
 
 def test_table_of_marks_s3():
