@@ -33,10 +33,10 @@ no table and no group.
 from __future__ import annotations
 
 from functools import cache, lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import NonIntegralError, NotASubgroupError, UnsupportedGroupError, UsageError
-from .perms import GroupHom, Perm, PermGroup, symmetric_group
+from .perms import GroupHom, Perm, PermGroup
 
 Partition = tuple[int, ...]
 
@@ -140,10 +140,7 @@ def block_structure(group: PermGroup) -> tuple[tuple[int, ...], ...]:
     for alternating groups.
     """
     blocks = group.orbits()
-    expected = 1
-    for b in blocks:
-        expected *= factorial(len(b))
-    if expected != group.order:
+    if prod(factorial(len(b)) for b in blocks) != group.order:
         raise UnsupportedGroupError(
             f"group of order {group.order} is not the full symmetric product on its orbits"
         )
@@ -151,10 +148,11 @@ def block_structure(group: PermGroup) -> tuple[tuple[int, ...], ...]:
 
 
 class CharacterTable:
-    """Integer character table of a block product group."""
+    """Integer character table of the block product on `blocks`; it keeps no group."""
 
     __slots__ = (
-        "group",
+        "degree",
+        "order",
         "blocks",
         "labels",
         "class_types",
@@ -164,8 +162,9 @@ class CharacterTable:
         "_type_index",
     )
 
-    def __init__(self, group, blocks, labels, class_types, class_reps, class_sizes, matrix):
-        self.group = group
+    def __init__(self, degree, blocks, labels, class_types, class_reps, class_sizes, matrix):
+        self.degree = degree
+        self.order = prod(factorial(len(b)) for b in blocks)
         self.blocks = blocks
         self.labels = labels
         self.class_types = class_types
@@ -204,7 +203,7 @@ class CharacterTable:
         return ClassFunction(self, self.matrix[i])
 
     def __repr__(self) -> str:
-        return f"CharacterTable({self.group!r}, {self.rank} irreducibles)"
+        return f"CharacterTable(deg {self.degree}, blocks {self.blocks}, {self.rank} irreducibles)"
 
 
 class ClassFunction:
@@ -218,10 +217,6 @@ class ClassFunction:
             raise UsageError("one value per conjugacy class required")
         self.table = table
         self.values = values
-
-    @property
-    def group(self) -> PermGroup:
-        return self.table.group
 
     def __call__(self, p: Perm) -> int:
         return self.values[self.table.class_index_of(p)]
@@ -249,7 +244,7 @@ class ClassFunction:
 _table_memo: dict = {}
 
 
-def _build_table(group: PermGroup, blocks) -> CharacterTable:
+def _build_table(degree: int, blocks) -> CharacterTable:
     per_block_labels = [partitions(len(b)) for b in blocks]
     per_block_types = [tuple(reversed(partitions(len(b)))) for b in blocks]
 
@@ -265,7 +260,7 @@ def _build_table(group: PermGroup, blocks) -> CharacterTable:
     reps = []
     sizes = []
     for types in class_types:
-        images = list(range(1, group.degree + 1))
+        images = list(range(1, degree + 1))
         size = 1
         for b, mu in zip(blocks, types):
             pos = 0
@@ -289,19 +284,20 @@ def _build_table(group: PermGroup, blocks) -> CharacterTable:
         matrix.append(tuple(row))
 
     return CharacterTable(
-        group, blocks, labels, class_types, tuple(reps), tuple(sizes), tuple(matrix)
+        degree, blocks, labels, class_types, tuple(reps), tuple(sizes), tuple(matrix)
     )
 
 
 def character_table(group: PermGroup) -> CharacterTable:
-    """The table of any block product group, memoized by group identity."""
-    hit = _table_memo.get(group.image_set)
-    if hit is not None:
-        return hit
-    blocks = block_structure(group)
-    _check_moved_degree(sum(len(b) for b in blocks if len(b) > 1))
-    table = _build_table(group, blocks)
-    _table_memo[group.image_set] = table
+    """The table of any block product group, memoized by (degree, blocks)."""
+    return _table_for(group.degree, block_structure(group))
+
+
+def _table_for(degree: int, blocks) -> CharacterTable:
+    table = _table_memo.get((degree, blocks))
+    if table is None:
+        _check_moved_degree(sum(len(b) for b in blocks if len(b) > 1))
+        table = _table_memo[degree, blocks] = _build_table(degree, blocks)
     return table
 
 
@@ -312,8 +308,11 @@ def _check_moved_degree(moved: int):
 
 
 def char_table_symmetric(n: int) -> CharacterTable:
-    _check_moved_degree(n)
-    return character_table(symmetric_group(n))
+    """Sym(n)'s table from partitions alone, Sym(0) on one point as in `symmetric_group`."""
+    if n < 0:
+        raise UsageError("n must be >= 0")
+    degree = max(n, 1)
+    return _table_for(degree, (tuple(range(1, degree + 1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -322,53 +321,53 @@ def char_table_symmetric(n: int) -> CharacterTable:
 
 def restrict_classfunction(phi: ClassFunction, alpha: GroupHom) -> ClassFunction:
     """phi o alpha along any homomorphism into phi's group."""
-    if alpha.target != phi.group:
+    table, target = phi.table, alpha.target
+    # a group with the table's orbits lies in its block product: all of it at equal order
+    if (target.degree, target.order, target.orbits()) != (table.degree, table.order, table.blocks):
         raise UsageError("hom target must be the class function's group")
     src_table = character_table(alpha.source)
-    tgt_table = phi.table
-    values = [phi.values[tgt_table.class_index_of(alpha(rep))] for rep in src_table.class_reps]
+    values = [phi.values[table.class_index_of(alpha(rep))] for rep in src_table.class_reps]
     return ClassFunction(src_table, values)
 
 
 _fusion_memo: dict = {}
 
 
-def _fusion_counts(h: PermGroup, g: PermGroup):
-    """counts[i][j] = #{x in G : x^-1 g_i x in H-class j} for the class
-    representatives g_i of G.
+def _fusion_counts(h_table: CharacterTable, g: PermGroup):
+    """G's table and counts[i][j] = #{x in G : x^-1 g_i x in H-class j} for
+    the class representatives g_i of G, where H is h_table's block product.
 
     That is (|G| / |G-class i|) * |H-class j| when H-class j lies in G-class
     i, and 0 otherwise.
     """
-    key = (h.image_set, g.image_set)
+    g_blocks = block_structure(g)
+    key = (h_table.degree, h_table.blocks, g.degree, g_blocks)
     hit = _fusion_memo.get(key)
     if hit is not None:
         return hit
-    if not h <= g:
+    # between block products, H <= G exactly when every H-block lies in one G-block
+    where = {p: i for i, b in enumerate(g_blocks) for p in b}
+    if h_table.degree != g.degree or any(len(set(map(where.get, b))) > 1 for b in h_table.blocks):
         raise NotASubgroupError("induction needs h <= g")
-    g_table = character_table(g)
-    h_table = character_table(h)
+    g_table = _table_for(g.degree, g_blocks)
     counts = [[0] * len(h_table.class_types) for _ in g_table.class_types]
     for j, (rep, size) in enumerate(zip(h_table.class_reps, h_table.class_sizes)):
         i = g_table.class_index_of(rep)
-        counts[i][j] = g.order // g_table.class_sizes[i] * size
-    _fusion_memo[key] = (g_table, h_table, counts)
-    return g_table, h_table, counts
+        counts[i][j] = g_table.order // g_table.class_sizes[i] * size
+    _fusion_memo[key] = (g_table, counts)
+    return g_table, counts
 
 
 def induce_classfunction(phi: ClassFunction, g: PermGroup) -> ClassFunction:
     """(ind phi)(y) = (1/|H|) sum over x in G of phi(x^-1 y x), summed where
     the conjugate lands in H."""
-    h = phi.group
-    g_table, h_table, counts = _fusion_counts(h, g)
-    if h_table is not phi.table:
-        raise UsageError("class function's table does not match the subgroup")
+    g_table, counts = _fusion_counts(phi.table, g)
     values = []
     for row in counts:
         total = sum(c * v for c, v in zip(row, phi.values))
-        if total % h.order:
+        if total % phi.table.order:
             raise NonIntegralError("induced character value is not integral")
-        values.append(total // h.order)
+        values.append(total // phi.table.order)
     return ClassFunction(g_table, values)
 
 
@@ -384,6 +383,6 @@ def inner_product(phi: ClassFunction, psi: ClassFunction) -> int:
         raise UsageError("class functions live on different tables")
     table = phi.table
     total = sum(s * a * b for s, a, b in zip(table.class_sizes, phi.values, psi.values))
-    if total % table.group.order:
+    if total % table.order:
         raise NonIntegralError("inner product is not an integer")
-    return total // table.group.order
+    return total // table.order

@@ -6,10 +6,14 @@ degrees are checked against the hook length formula implemented here from
 scratch; orthogonality is checked from the definition with exact integers.
 """
 
+from collections import Counter
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from globfun import characters, perms
 from globfun.characters import (
     ClassFunction,
     MAX_TABLE_N,
@@ -25,11 +29,12 @@ from globfun.characters import (
     partitions,
     restrict_classfunction,
 )
-from globfun.errors import UnsupportedGroupError
+from globfun.errors import NotASubgroupError, UnsupportedGroupError, UsageError
 from globfun.perms import (
     GroupHom,
     Perm,
     alternating_group,
+    conjugate_subgroup,
     product_group,
     standard_inclusion,
     symmetric_group,
@@ -109,7 +114,8 @@ def test_first_column_is_identity():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_orthogonality(n):
     t = char_table_symmetric(n)
-    order = t.group.order
+    order = t.order
+    assert order == symmetric_group(n).order
     k = t.rank
     for i in range(k):
         for j in range(k):
@@ -126,19 +132,17 @@ def test_sum_of_squares_of_degrees():
 
 
 def test_product_table():
-    a = char_table_symmetric(2)
-    b = char_table_symmetric(3)
-    t = character_table(product_group(a.group, b.group))
+    t = character_table(product_group(symmetric_group(2), symmetric_group(3)))
     assert t.rank == 6
     assert sorted(row[0] for row in t.matrix) == [1, 1, 1, 1, 2, 2]
-    assert t.group.order == 12
+    assert t.order == 12
 
 
 def test_product_table_degrees_exact():
     t = character_table(product_group(symmetric_group(2), symmetric_group(3)))
     # rows: ((2),(3)), ((2),(21)), ((2),(111)), ((11),(3)), ...
     assert [row[0] for row in t.matrix] == [1, 2, 1, 1, 2, 1]
-    order = t.group.order
+    order = t.order
     for i in range(t.rank):
         for j in range(t.rank):
             s = sum(z * a * b for z, a, b in zip(t.class_sizes, t.matrix[i], t.matrix[j]))
@@ -156,6 +160,78 @@ def test_block_structure_detection():
     g = conjugate_subgroup(young_two_block(5, 2), Perm.parse("(2 4)", 5))
     assert block_structure(g) == ((1, 4), (2, 3, 5))
     assert character_table(g).rank == 6
+
+
+def test_symmetric_table_builds_no_group(monkeypatch):
+    # a fresh memo, so every table below is built from partitions
+    monkeypatch.setattr(characters, "_table_memo", {})
+
+    def refuse(*args):
+        raise AssertionError("a group was closed")
+
+    with monkeypatch.context() as m:
+        m.setattr(perms, "close_generators", refuse)
+        tables = [char_table_symmetric(n) for n in range(9)]
+    # Sym(0) and Sym(1) are both the trivial group on one point
+    assert tables[0] is tables[1] and len(characters._table_memo) == 8
+    for n, t in enumerate(tables):
+        g = symmetric_group(n)
+        assert character_table(g) is t
+        assert (t.degree, t.order) == (g.degree, g.order)
+        if n <= 7:
+            # independent oracle: count the cycle types of the closed group
+            counts = Counter(Perm(images).cycle_type() for images in g.image_set)
+            assert dict(counts) == {types[0]: s for types, s in zip(t.class_types, t.class_sizes)}
+
+
+def _young_subgroups_and_conjugates(degree):
+    """The Young subgroups of Sym(degree) on runs of consecutive points, one per
+    composition of degree, and their conjugates by the long cycle."""
+    groups = []
+    for cuts in product((False, True), repeat=degree - 1):
+        blocks, start = [], 1
+        for point, cut in enumerate(cuts + (True,), start=1):
+            if cut:
+                blocks.append(range(start, point + 1))
+                start = point + 1
+        groups.append(young_subgroup(degree, blocks))
+    if degree > 1:
+        cycle = Perm.from_cycles(degree, [tuple(range(1, degree + 1))])
+        groups += [conjugate_subgroup(y, cycle) for y in groups]
+    return groups
+
+
+def test_subgroup_test_from_blocks_matches_image_sets():
+    groups = [g for d in range(1, 5) for g in _young_subgroups_and_conjugates(d)]
+    assert len(groups) == 1 + 2 * (2 + 4 + 8)
+    inside = 0
+    for h, g in product(groups, repeat=2):
+        triv = character_table(h).irreducible(0)
+        if h <= g:
+            inside += 1
+            # the permutation character of G on G/H has degree [G:H]
+            assert induce_classfunction(triv, g).values[0] == g.order // h.order
+        else:
+            with pytest.raises(NotASubgroupError):
+                induce_classfunction(triv, g)
+    assert 0 < inside < len(groups) ** 2
+
+
+def test_restriction_refuses_a_hom_into_another_group():
+    y = young_two_block(4, 2)
+    chi = character_table(y).irreducible(1)
+    assert restrict_classfunction(chi, GroupHom.identity(y)) == chi
+    for target in [
+        conjugate_subgroup(y, Perm.parse("(2 3)", 4)),  # same degree and order, other blocks
+        young_two_block(5, 2),  # other degree
+        young_subgroup(4, [(1, 2)]),  # a subgroup of y: other orbits and order
+    ]:
+        with pytest.raises(UsageError):
+            restrict_classfunction(chi, GroupHom.identity(target))
+    # same degree and orbits, order 12 against 24: Alt(4) is not Sym(4)
+    sign = char_table_symmetric(4).irreducible(4)
+    with pytest.raises(UsageError):
+        restrict_classfunction(sign, GroupHom.identity(alternating_group(4)))
 
 
 def test_class_index_of():

@@ -213,6 +213,30 @@ def test_json_matches_benchmark_oracle(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
+# sha256 of `--output json char-table --n k`, pinned before tables were keyed
+# by block structure
+CHAR_TABLE_DIGESTS = {
+    1: "70f16b2a5bea22f02b103a7b93c4cf6199e67d651ce5153699faf8028ce79d81",
+    2: "1f594c740d1d58b79629fe844e9f4ba4da2adbb0855539b87d5ffdf68aca91e5",
+    3: "dcfe035ce062b45871dcf08feb835cf2ac59571d183f8b91efe39af09c3772cc",
+    4: "adcf9a7dc0d92a9fe4c211bb4835492ca534fe59fabf1182b45aa10fe7a0158c",
+    5: "1f97d3bb99672ac94e94919332741a89fc16a042a6be2231bb1827a8654eed22",
+    6: "7a6fc59c07b1b869c3b3b17d7fe98c338867ac6c63669217682637989be3fa22",
+    7: "b3f5313b0484e7c0ea3d2e3eb1bdbb8acdc5f13e0951a652ceccb28618ef6703",
+    8: "112f8035b6ffa297d625e21d46f95460984531b6518c0f425842d7dc9c726ddf",
+}
+
+
+def test_char_table_json_is_pinned_and_builds_no_group(capsys, monkeypatch):
+    # char-table builds no group, so a group cap of 1 does not reach it;
+    # only the table cap (moved degree <= 8) does
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "1")
+    for k, digest in CHAR_TABLE_DIGESTS.items():
+        code, out, err = run(capsys, "--no-cache", "--output", "json", "char-table", "--n", str(k))
+        assert code == 0, (k, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, k
+
+
 def test_math_failure_exits_1(capsys, monkeypatch):
     def corrupted(name):
         return CorruptedTransfer(

@@ -6,6 +6,7 @@ so the kernel ranks must be their successive differences 1, 0, 1, 2, 7, 8;
 for the representation ring they are partition-count differences.
 """
 
+import gc
 import hashlib
 import json
 import random
@@ -32,7 +33,14 @@ from globfun.splitting import (
 )
 from globfun import characters, subgroups
 from globfun.characters import partition_count
-from globfun.perms import PermGroup, alternating_group, fused_pairs, symmetric_group, young_two_block
+from globfun.perms import (
+    PermGroup,
+    alternating_group,
+    fused_pairs,
+    standard_inclusion,
+    symmetric_group,
+    young_two_block,
+)
 
 
 def test_library_groups_meet_the_environment_cap(monkeypatch):
@@ -253,8 +261,24 @@ def _holds_group(key):
     return isinstance(key, (tuple, frozenset)) and any(map(_holds_group, key))
 
 
+def _reaches_group(obj):
+    """Whether a PermGroup can be reached from obj by following references,
+    types aside (every instance refers to its class)."""
+    seen, todo = set(), [obj]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, type) or id(x) in seen:
+            continue
+        if isinstance(x, PermGroup):
+            return True
+        seen.add(id(x))
+        todo += gc.get_referents(x)
+    return False
+
+
 def test_memo_keys_hold_no_group():
-    # memos key on image sets: a PermGroup key would keep its Perm elements alive
+    # memos key on image sets and block structures: a PermGroup key would
+    # keep its Perm elements alive
     functors = [RepRingFunctor(), BurnsideFunctor()]
     splitting_report(functors[0], 5)
     # the RU split reads only the tower maps; the dcf check fills its group memos
@@ -266,6 +290,11 @@ def test_memo_keys_hold_no_group():
     for memo in memos:
         assert memo
         assert not any(map(_holds_group, memo))
+    # a table or fusion memo value reaches no group either, down to its
+    # class representatives
+    assert _reaches_group([0, (standard_inclusion(2),)])
+    for memo in (characters._table_memo, characters._fusion_memo):
+        assert not any(map(_reaches_group, memo.values()))
 
 
 def test_kernel_basis_rows_are_fresh():
