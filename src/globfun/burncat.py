@@ -41,7 +41,6 @@ from .perms import (
     normalizer,
     product_group,
     standard_inclusion,
-    symmetric_group,
     all_homs,
 )
 from .subgroups import subgroup_classes
@@ -93,15 +92,15 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
         if best is None or skey < best[0]:
             best = (skey, g)
     skey, g0 = best
-    sub = PermGroup.from_elements(target.degree, map(Perm._from_images, skey))
+    sub = PermGroup.from_elements(target.degree, skey)
     subgens = [s.images for s in sub.generators]
     table = alpha.table
-    kconj = [_conjugator(k.images) for k in source.elements]
+    kconj = [_conjugator(k) for k in sorted(source.image_set)]
     to_ginv = _right_mul(_inverse(g0))  # m -> m g0^-1
     found = {}  # generator image tuple -> (pulled-back values on skey, k's conjugator)
-    for m in norm.elements:
+    for m in sorted(norm.image_set):
         # y |-> g^-1 y g for g = g0 m^-1, as m^-1 runs over N with m
-        conj = _conjugator(to_ginv(m.images))
+        conj = _conjugator(to_ginv(m))
         vals = tuple([table[conj(s)] for s in subgens])
         if vals in found:
             continue
@@ -352,10 +351,9 @@ def section_of_restriction(n: int) -> SectionReport:
     """
     if n < 1:
         raise UsageError("n must be >= 1")
-    prev = symmetric_group(n - 1)
-    cur = symmetric_group(n)
-    rep = RepresentedFunctor(prev)
     inc = standard_inclusion(n)
+    prev, cur = inc.source, inc.target
+    rep = RepresentedFunctor(prev)
     istar = BurnsideCatMorphism.restriction(inc)
     basis = rep.basis(cur)
     matrix = rep.res(inc).matrix
@@ -369,25 +367,27 @@ def section_of_restriction(n: int) -> SectionReport:
     if not istar.compose(sigma) == ident:
         raise MathCheckError("solver produced a non-section")
 
-    sigma_split = _section_from_splitting(rep, n)
+    sigma_split = _section_from_splitting(rep, cur)
     if not istar.compose(sigma_split) == ident:
         raise MathCheckError("splitting route produced a non-section")
     return SectionReport(n, sigma, sigma_split, len(basis))
 
 
-def _section_from_splitting(rep: RepresentedFunctor, n: int) -> BurnsideCatMorphism:
-    """Decompose the identity one level down and push the slots back up."""
+def _section_from_splitting(rep: RepresentedFunctor, cur: PermGroup) -> BurnsideCatMorphism:
+    """Decompose the identity one level down and push the slots back up to
+    cur = Sym(n)."""
     from .splitting import decompose, psi
 
+    n = cur.degree
     prev = rep.l_group
     ident = BurnsideCatMorphism.identity(prev)
     target = rep._coords(ident, prev)
     parts = decompose(rep, n - 1, target)
-    total = [0] * rep.value(symmetric_group(n)).rank
+    total = [0] * rep.value(cur).rank
     for k, part in enumerate(parts):
         image = psi(rep, k, n).apply(part)
         total = [a + b for a, b in zip(total, image)]
-    return rep._as_morphism(symmetric_group(n), total)
+    return rep._as_morphism(cur, total)
 
 
 def _on_second_factor(d: int, table):
@@ -412,14 +412,12 @@ def product_section(g: PermGroup, section: SectionReport) -> "ProductSectionRepo
     from .burnside import BurnsideFunctor
 
     n = section.n
-    prev, cur = symmetric_group(n - 1), symmetric_group(n)
-    big_prev = product_group(g, prev)
-    big_cur = product_group(g, cur)
+    inc = standard_inclusion(n)
+    big_prev = product_group(g, inc.source)
+    big_cur = product_group(g, inc.target)
     d = g.degree
 
-    big_inc = GroupHom.from_callable(
-        big_prev, big_cur, _on_second_factor(d, standard_inclusion(n).table)
-    )
+    big_inc = GroupHom.from_callable(big_prev, big_cur, _on_second_factor(d, inc.table))
 
     paired = BurnsideCatMorphism(big_prev, big_cur)
     for key in sorted(section.sigma.terms):

@@ -148,7 +148,8 @@ def block_structure(group: PermGroup) -> tuple[tuple[int, ...], ...]:
 
 
 class CharacterTable:
-    """Integer character table of the block product on `blocks`; it keeps no group."""
+    """Integer character table of the block product on `blocks`; it keeps no
+    group, and its class representatives are image tuples."""
 
     __slots__ = (
         "degree",
@@ -177,8 +178,9 @@ class CharacterTable:
     def rank(self) -> int:
         return len(self.labels)
 
-    def class_index_of(self, p: Perm) -> int:
-        """Class index of any element of the group, via per-block cycle types."""
+    def class_index_of(self, p: tuple) -> int:
+        """Class index of any element of the group, given by its image tuple,
+        via per-block cycle types."""
         types = []
         for b in self.blocks:
             lens = []
@@ -188,13 +190,15 @@ class CharacterTable:
                     continue
                 length = 1
                 seen.add(start)
-                nxt = p(start)
+                nxt = p[start - 1]
                 while nxt != start:
                     if nxt not in b:
-                        raise UsageError(f"element {p} does not preserve block {b}")
+                        raise UsageError(
+                            f"element {Perm._from_images(p)} does not preserve block {b}"
+                        )
                     seen.add(nxt)
                     length += 1
-                    nxt = p(nxt)
+                    nxt = p[nxt - 1]
                 lens.append(length)
             types.append(tuple(sorted(lens, reverse=True)))
         return self._type_index[tuple(types)]
@@ -219,13 +223,7 @@ class ClassFunction:
         self.values = values
 
     def __call__(self, p: Perm) -> int:
-        return self.values[self.table.class_index_of(p)]
-
-    def __add__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.table, [a + b for a, b in zip(self.values, other.values)])
-
-    def __sub__(self, other: "ClassFunction") -> "ClassFunction":
-        return ClassFunction(self.table, [a - b for a, b in zip(self.values, other.values)])
+        return self.values[self.table.class_index_of(p.images)]
 
     def __eq__(self, other) -> bool:
         return (
@@ -270,7 +268,7 @@ def _build_table(degree: int, blocks) -> CharacterTable:
                     images[a - 1] = c
                 pos += part
             size *= cycle_type_class_size(mu)
-        reps.append(Perm(images))
+        reps.append(tuple(images))
         sizes.append(size)
 
     matrix = []
@@ -311,6 +309,7 @@ def char_table_symmetric(n: int) -> CharacterTable:
     """Sym(n)'s table from partitions alone, Sym(0) on one point as in `symmetric_group`."""
     if n < 0:
         raise UsageError("n must be >= 0")
+    _check_moved_degree(n)  # before any of the n points is built
     degree = max(n, 1)
     return _table_for(degree, (tuple(range(1, degree + 1)),))
 
@@ -326,7 +325,7 @@ def restrict_classfunction(phi: ClassFunction, alpha: GroupHom) -> ClassFunction
     if (target.degree, target.order, target.orbits()) != (table.degree, table.order, table.blocks):
         raise UsageError("hom target must be the class function's group")
     src_table = character_table(alpha.source)
-    values = [phi.values[table.class_index_of(alpha(rep))] for rep in src_table.class_reps]
+    values = [phi.values[table.class_index_of(alpha.table[rep])] for rep in src_table.class_reps]
     return ClassFunction(src_table, values)
 
 

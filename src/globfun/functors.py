@@ -381,10 +381,9 @@ def standard_probe(max_n: int) -> AxiomProbe:
         if n >= 2:
             homs.append(GroupHom.conjugation(full, full, Perm.from_cycles(n, [(1, 2)])))
             homs.append(terminal_hom(full))
-        for comp in _compositions(n):
+        for comp, y in zip(_compositions(n), subs):
             if len(comp) < 2:
                 continue
-            y = young_subgroup(n, _consecutive_blocks(comp))
             for block in _consecutive_blocks(comp):
                 homs.append(restrict_to_block(y, block))
     for n in range(2, max_n + 1):

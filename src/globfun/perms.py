@@ -13,15 +13,17 @@ Conventions, fixed once and used everywhere:
 * conjugation is conj(p, g) = g p g^-1, and H^g means g H g^-1;
 * "least" always means lexicographically least image tuple.
 
-Kernel convention: the hot loops (closure, the homomorphism pass, conjugacy
-classes, cosets, normalizers, the checks of `from_elements`) run on plain
-1-based image tuples and build `Perm` objects only at the API boundary.
-x -> x * p is one cached getter, `_right_mul(p)`, as (x * p)(i) = x(p(i));
-y -> g y g^-1 is one callable, `_conjugator(g)`.  Every orbit of a group
-action (points, conjugacy classes, double cosets, the conjugates of a
-subgroup, Burnside restriction) is one call of `_orbits` with one map per
-generator; left cosets are acted on through their least member
-(`_coset_moves`).
+Kernel convention: plain 1-based image tuples are the only element type
+that passes between modules.  `from_elements` takes them, a homomorphism's
+`table` maps them, and closure, the homomorphism pass, conjugacy classes,
+cosets, normalizers and centralizers run on them.  `Perm` objects are built
+only at the API edge: parsing and printing, `generators`, `gen_images`, the
+`elements` view, `conjugacy_classes` and `double_cosets`.  x -> x * p is one
+cached getter, `_right_mul(p)`, as (x * p)(i) = x(p(i)); y -> g y g^-1 is
+one callable, `_conjugator(g)`.  Every orbit of a group action (points,
+conjugacy classes, double cosets, the conjugates of a subgroup, Burnside
+restriction) is one call of `_orbits` with one map per generator; left
+cosets are acted on through their least member (`_coset_moves`).
 
 Identity: a group is its `image_set`, the frozenset of its elements' image
 tuples, which equality, hashing and every memo key read; a homomorphism is
@@ -31,7 +33,7 @@ its `table`, image tuple -> image tuple.
 from __future__ import annotations
 
 import re
-from itertools import combinations
+from itertools import combinations, product
 from math import lcm
 from operator import itemgetter
 
@@ -290,31 +292,31 @@ class PermGroup:
         self._elements = self._classes = self._class_index = self._orbits = None
 
     @staticmethod
-    def from_elements(degree, elements, name="") -> "PermGroup":
-        """Build a group from a set already known to be closed.
+    def from_elements(degree, images, name="") -> "PermGroup":
+        """Build a group from the image tuples of a set already known to be closed.
 
         Closure is the caller's responsibility (intersections, preimages and
         point stabilizers of subgroups are closed by construction); degrees,
-        identity and inverses are cheap to check, so they are.
+        identity and inverses are cheap to check, so they are.  As with
+        `__init__`, the `Perm` elements are built only when first read.
         """
-        elems = sorted(set(elements))
+        tset = frozenset(images)
+        elems = sorted(tset)
         for x in elems:
-            if x.degree != degree:
-                raise UsageError(f"element degree {x.degree} != {degree}")
-        tset = frozenset(x.images for x in elems)
+            if len(x) != degree:
+                raise UsageError(f"element degree {len(x)} != {degree}")
         if tuple(range(1, degree + 1)) not in tset:
             raise NotASubgroupError("identity missing")
         for x in elems:
-            if _inverse(x.images) not in tset:
-                raise NotASubgroupError(f"inverse of {x} missing")
+            if _inverse(x) not in tset:
+                raise NotASubgroupError(f"inverse of {Perm._from_images(x)} missing")
         g = PermGroup.__new__(PermGroup)
         g.degree = degree
-        g._elements = tuple(elems)
         g.image_set = tset
-        g.order = len(elems)
+        g.order = len(tset)
         g.name = name
-        g.generators = tuple(_small_generating_set(degree, elems))
-        g._classes = g._class_index = g._orbits = None
+        g.generators = tuple(map(Perm._from_images, _small_generating_set(degree, elems)))
+        g._elements = g._classes = g._class_index = g._orbits = None
         return g
 
     @property
@@ -377,14 +379,15 @@ class PermGroup:
 
 
 def _small_generating_set(degree, sorted_elems):
-    """Greedy generating set: adjoin the least element not yet generated, by Dimino joins."""
+    """Greedy generating set of sorted image tuples: adjoin the least one not
+    yet generated, by Dimino joins."""
     gens = []
     have = {tuple(range(1, degree + 1))}
     for x in sorted_elems:
-        if x.images in have:
+        if x in have:
             continue
         gens.append(x)
-        have = _join(have, [g.images for g in gens], len(sorted_elems))
+        have = _join(have, gens, len(sorted_elems))
         if len(have) == len(sorted_elems):
             break
     return gens
@@ -519,7 +522,7 @@ def parse_group_spec(spec: str) -> PermGroup:
 
 
 def trivial_subgroup(g: PermGroup) -> PermGroup:
-    return PermGroup.from_elements(g.degree, [g.identity], name="e")
+    return PermGroup.from_elements(g.degree, [tuple(range(1, g.degree + 1))], name="e")
 
 
 # ---------------------------------------------------------------------------
@@ -604,16 +607,16 @@ class GroupHom:
         return GroupHom(inner.source, self.target, [self(y) for y in inner.gen_images])
 
     def image(self) -> PermGroup:
-        values = set(self.table.values())
-        return PermGroup.from_elements(self.target.degree, map(Perm._from_images, values))
+        return PermGroup.from_elements(self.target.degree, self.table.values())
 
     def preimage(self, hbar: PermGroup) -> PermGroup:
         """Preimage of a subgroup of the target."""
         if not hbar <= self.target:
             raise NotASubgroupError("preimage target is not a subgroup")
         want = hbar.image_set
-        elems = [Perm._from_images(x) for x, v in self.table.items() if v in want]
-        return PermGroup.from_elements(self.source.degree, elems)
+        return PermGroup.from_elements(
+            self.source.degree, [x for x, v in self.table.items() if v in want]
+        )
 
     def is_surjective_onto_target(self) -> bool:
         return len(set(self.table.values())) == self.target.order
@@ -673,26 +676,18 @@ def fixed_last_point_copy(n: int) -> PermGroup:
 def all_homs(source: PermGroup, target: PermGroup) -> list[GroupHom]:
     """Every homomorphism source -> target, by brute force over generator images.
 
-    Sorted by the tuple of generator images, so the order is deterministic.
+    A generator's candidates are the target elements whose order divides its
+    order.  Each candidate list is sorted, so their product, and the result,
+    is sorted by the tuple of generator images.
     """
-    gens = source.generators
+    orders = [(v, _element_order(v)) for v in target.elements]
+    cands = [[v for v, k in orders if m % k == 0] for m in map(_element_order, source.generators)]
     out = []
-    stack = [[]]
-    # depth-first over image tuples, pruned by element-order divisibility
-    orders = [_element_order(g) for g in gens]
-    while stack:
-        partial = stack.pop()
-        i = len(partial)
-        if i == len(gens):
-            try:
-                out.append(GroupHom(source, target, partial))
-            except NotAHomomorphismError:
-                pass
-            continue
-        for cand in reversed(target.elements):
-            if orders[i] % _element_order(cand) == 0:
-                stack.append(partial + [cand])
-    out.sort(key=lambda h: tuple(v.images for v in h.gen_images))
+    for images in product(*cands):
+        try:
+            out.append(GroupHom(source, target, images))
+        except NotAHomomorphismError:
+            pass
     return out
 
 
@@ -705,7 +700,10 @@ def _element_order(p: Perm) -> int:
 
 
 def centralizer(g: PermGroup, x: Perm) -> PermGroup:
-    return PermGroup.from_elements(g.degree, [y for y in g.elements if y * x == x * y])
+    if x.degree != g.degree:
+        raise UsageError(f"cannot multiply degrees {g.degree} and {x.degree}")
+    xi = x.images
+    return PermGroup.from_elements(g.degree, [y for y in g.image_set if _conjugator(y)(xi) == xi])
 
 
 def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
@@ -713,7 +711,7 @@ def normalizer(g: PermGroup, h: PermGroup) -> PermGroup:
         raise NotASubgroupError("normalizer needs h <= g")
     hset, gens = h.image_set, [t.images for t in h.generators]
     out = [y for y in g.image_set if hset.issuperset(map(_conjugator(y), gens))]
-    return PermGroup.from_elements(g.degree, map(Perm._from_images, out))
+    return PermGroup.from_elements(g.degree, out)
 
 
 def weyl_order(g: PermGroup, h: PermGroup) -> int:
@@ -722,14 +720,15 @@ def weyl_order(g: PermGroup, h: PermGroup) -> int:
 
 
 def conjugate_subgroup(h: PermGroup, g: Perm) -> PermGroup:
-    ginv = g.inverse()
-    return PermGroup.from_elements(h.degree, [g * x * ginv for x in h.elements])
+    if g.degree != h.degree:
+        raise UsageError(f"cannot multiply degrees {g.degree} and {h.degree}")
+    return PermGroup.from_elements(h.degree, map(_conjugator(g.images), h.image_set))
 
 
 def intersection(a: PermGroup, b: PermGroup) -> PermGroup:
     if a.degree != b.degree:
         raise UsageError("intersection needs equal degrees")
-    return PermGroup.from_elements(a.degree, map(Perm._from_images, a.image_set & b.image_set))
+    return PermGroup.from_elements(a.degree, a.image_set & b.image_set)
 
 
 def left_coset_reps(g: PermGroup, h: PermGroup) -> tuple[dict, list[tuple]]:

@@ -92,16 +92,15 @@ def _psi(f: GlobalFunctor, k: int, n: int) -> ZMap:
 class DcfCheck:
     """Outcome of the symmetric-group double coset identity at one (k, n)."""
 
-    __slots__ = ("functor", "n", "k", "passed", "detail", "lhs", "rhs")
+    __slots__ = ("functor", "n", "k", "passed", "detail", "lhs")
 
-    def __init__(self, functor, n, k, passed, detail, lhs, rhs):
+    def __init__(self, functor, n, k, passed, detail, lhs):
         self.functor = functor
         self.n = n
         self.k = k
         self.passed = passed
         self.detail = detail
         self.lhs = lhs
-        self.rhs = rhs
 
     def summary(self) -> str:
         body = "EQUAL" if self.passed else f"DIFFER ({self.detail})"
@@ -128,11 +127,11 @@ def verify_dcf_symmetric(f: GlobalFunctor, k: int, n: int) -> DcfCheck:
     """
     if not 1 <= k <= n - 1:
         raise UsageError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    sym_n = symmetric_group(n)
-    sym_prev = symmetric_group(n - 1)
+    inc = standard_inclusion(n)
+    sym_n, sym_prev = inc.target, inc.source
     h = young_two_block(n, k)
 
-    lhs = f.res(standard_inclusion(n)).compose(f.tr(h, sym_n))
+    lhs = f.res(inc).compose(f.tr(h, sym_n))
 
     low1 = young_two_block(n - 1, k)
     into1 = GroupHom.from_callable(low1, h, lambda x: x + (n,))
@@ -153,7 +152,7 @@ def verify_dcf_symmetric(f: GlobalFunctor, k: int, n: int) -> DcfCheck:
             if a != b:
                 detail = f"first differing column {j}: left {a}, right {b}"
                 break
-    return DcfCheck(f.name, n, k, passed, detail, lhs, rhs)
+    return DcfCheck(f.name, n, k, passed, detail, lhs)
 
 
 class SplittingReport:
@@ -163,17 +162,15 @@ class SplittingReport:
         "functor",
         "n",
         "kernel_bases",
-        "psi_maps",
         "assembled",
         "determinant",
         "component_ranks",
     )
 
-    def __init__(self, functor, n, kernel_bases, psi_maps, assembled, determinant):
+    def __init__(self, functor, n, kernel_bases, assembled, determinant):
         self.functor = functor
         self.n = n
         self.kernel_bases = kernel_bases
-        self.psi_maps = psi_maps
         self.assembled = assembled
         self.determinant = determinant
         self.component_ranks = tuple(len(b) for b in kernel_bases)
@@ -234,7 +231,7 @@ def splitting_report(f: GlobalFunctor, n: int) -> SplittingReport:
                 raise MathCheckError(
                     f"basis vector {j} of the lower level has no integer preimage"
                 )
-    return SplittingReport(f.name, n, bases, psis, assembled, det)
+    return SplittingReport(f.name, n, bases, assembled, det)
 
 
 def decompose(f: GlobalFunctor, n: int, x):
@@ -287,9 +284,7 @@ def embedded_alternating(n: int) -> PermGroup:
     """Alt(n-1) inside Alt(n), fixing the last point."""
     inner = alternating_group(n - 1)
     tail = tuple(range(inner.degree + 1, n + 1))
-    return PermGroup.from_elements(
-        n, [Perm._from_images(x + tail) for x in inner.image_set], name=f"A{n - 1}"
-    )
+    return PermGroup.from_elements(n, [x + tail for x in inner.image_set], name=f"A{n - 1}")
 
 
 class AlternatingFusionReport:

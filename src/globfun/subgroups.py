@@ -9,7 +9,8 @@ from that orbit gives the join <H, c>.  That suffices because
 <M, c> for a maximal subgroup M of K and any c in K outside M.  A join is
 built one coset of H at a time (Dimino, `perms._join`), not closed again
 from the identity.  Element sets are frozensets of image tuples, as in
-`PermGroup.image_set`; `Perm` objects are built only for representatives.
+`PermGroup.image_set`, and each class representative is built from its
+set by `PermGroup.from_elements`, which wraps only its generators as `Perm`s.
 
 A join whose element set is new starts a class; its conjugacy orbit is
 computed once, then, by `perms._orbits` under conjugation by the generators
@@ -22,7 +23,7 @@ failed lookup is a bug, not a condition to handle.
 from __future__ import annotations
 
 from .errors import CapExceededError, MathCheckError, _cap
-from .perms import Perm, PermGroup, _conjugator, _join, _orbits, _right_mul, left_coset_reps
+from .perms import PermGroup, _conjugator, _join, _orbits, _right_mul, left_coset_reps
 
 _lattice_memo: dict = {}
 
@@ -151,7 +152,7 @@ def subgroup_classes(group: PermGroup) -> SubgroupLattice:
     classes = []
     class_of = {}
     for idx, (rep, orbit) in enumerate(raw_classes):
-        sub = PermGroup.from_elements(degree, map(Perm._from_images, rep))
+        sub = PermGroup.from_elements(degree, rep)
         classes.append(SubgroupClass(sub, idx, len(orbit)))
         for member in orbit:
             class_of[member] = idx

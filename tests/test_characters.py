@@ -36,11 +36,13 @@ from globfun.perms import (
     alternating_group,
     conjugate_subgroup,
     product_group,
+    restrict_to_block,
     standard_inclusion,
     symmetric_group,
     young_subgroup,
     young_two_block,
 )
+from globfun.repring import RepRingFunctor
 
 
 def hook_length_degree(lam):
@@ -107,7 +109,7 @@ def test_degrees_match_hook_lengths():
 def test_first_column_is_identity():
     for n in (2, 3, 4, 5):
         t = char_table_symmetric(n)
-        assert t.class_reps[0].is_identity()
+        assert t.class_reps[0] == tuple(range(1, n + 1))
         assert t.class_sizes[0] == 1
 
 
@@ -217,6 +219,31 @@ def test_subgroup_test_from_blocks_matches_image_sets():
     assert 0 < inside < len(groups) ** 2
 
 
+def test_tables_and_ru_maps_build_no_perm(monkeypatch):
+    """Once the groups and homs are built, tables, restriction and induction,
+    and so RU's restriction and transfer matrices, read class data and image
+    tuples only: no Perm is constructed, not even for a table built afresh."""
+    groups = [g for d in range(1, 6) for g in _young_subgroups_and_conjugates(d)]
+    pairs = [(h, g) for h, g in product(groups, repeat=2) if h <= g]
+    homs = [GroupHom.inclusion(h, g) for h, g in pairs]
+    homs += [restrict_to_block(g, b) for g in groups for b in g.orbits()]
+    homs += [standard_inclusion(d) for d in range(1, 6)]
+    want = [RepRingFunctor()._res_matrix(a) for a in homs]
+    want += [RepRingFunctor()._tr_matrix(h, g) for h, g in pairs]
+
+    def refuse(*args):
+        raise AssertionError("a Perm was constructed")
+
+    monkeypatch.setattr(characters, "_table_memo", {})
+    monkeypatch.setattr(characters, "_fusion_memo", {})
+    monkeypatch.setattr(Perm, "__init__", refuse)
+    monkeypatch.setattr(Perm, "_from_images", staticmethod(refuse))
+    f = RepRingFunctor()
+    got = [f._res_matrix(a) for a in homs] + [f._tr_matrix(h, g) for h, g in pairs]
+    assert got == want
+    assert len(characters._table_memo) > 20 and characters._fusion_memo
+
+
 def test_restriction_refuses_a_hom_into_another_group():
     y = young_two_block(4, 2)
     chi = character_table(y).irreducible(1)
@@ -236,10 +263,10 @@ def test_restriction_refuses_a_hom_into_another_group():
 
 def test_class_index_of():
     t = char_table_symmetric(4)
-    assert t.class_index_of(Perm.identity(4)) == 0
+    assert t.class_index_of((1, 2, 3, 4)) == 0
     for i, rep in enumerate(t.class_reps):
         assert t.class_index_of(rep) == i
-        assert rep.cycle_type() == t.class_types[i][0]
+        assert Perm(rep).cycle_type() == t.class_types[i][0]
 
 
 def test_restriction_branching():
@@ -350,7 +377,7 @@ def test_induction_matches_definition(pair):
     th = character_table(h)
     phi = ClassFunction(th, [sum(c * v for c, v in zip(coeffs, col)) for col in zip(*th.matrix)])
     ind = induce_classfunction(phi, k)
-    for y, value in zip(ind.table.class_reps, ind.values):
+    for y, value in zip(map(Perm, ind.table.class_reps), ind.values):
         total = 0
         for x in k.elements:
             z = x.inverse() * y * x

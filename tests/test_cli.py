@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,21 @@ def test_char_table_json_is_pinned_and_builds_no_group(capsys, monkeypatch):
         code, out, err = run(capsys, "--no-cache", "--output", "json", "char-table", "--n", str(k))
         assert code == 0, (k, err)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, k
+
+
+@pytest.mark.parametrize("n", ["5000000", "1000000000000"])
+def test_char_table_cap_is_read_from_n(capsys, n):
+    # refused from n alone: building the n points first took 209 MiB at
+    # n = 5000000 and raised MemoryError at n = 10^12
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "--no-cache", "char-table", "--n", n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == f"error: table for moved degree {n} exceeds cap 8\n"
+    assert peak < 1 << 20
 
 
 def test_math_failure_exits_1(capsys, monkeypatch):

@@ -111,7 +111,7 @@ def reference_res_matrix(alpha):
                         todo.pop(nxt, None)
                         frontier.append(nxt)
             stab = PermGroup.from_elements(
-                k.degree, [x for x in k.elements if rep_of[alpha(x) * start] == start]
+                k.degree, [x.images for x in k.elements if rep_of[alpha(x) * start] == start]
             )
             assert stab.order * len(orbit) == k.order
             matrix[lat_k.class_of(stab.image_set)][j] += 1
@@ -230,6 +230,16 @@ def test_standard_probe_structure():
         assert q.is_surjective_onto_target() and b <= q.target
     for k, h, g in probe.mackey_triples:
         assert k <= g and h <= g
+
+
+def test_standard_probe_shares_its_groups():
+    # every hom but the standard inclusions starts at one of the probe's own
+    # group objects, block projections included
+    probe = standard_probe(4)
+    own = {id(g) for g in probe.groups}
+    kept = [a for a in probe.homs if a.source.degree >= a.target.degree]
+    assert len(kept) == len(probe.homs) - 3
+    assert all(id(a.source) in own for a in kept)
 
 
 def test_axioms_pass_small_probe():

@@ -373,20 +373,20 @@ def test_cosets_and_normalizer_match_reference(case):
 def test_generating_set_matches_reference(case):
     g, h, _ = case
     for group in (g, h):
-        built = PermGroup.from_elements(group.degree, reversed(group.elements))
+        built = PermGroup.from_elements(group.degree, [x.images for x in reversed(group.elements)])
         assert built.elements == group.elements and built.image_set == group.image_set
         assert built.generators == tuple(reference_generating_set(group.degree, group.elements))
-        # the generators are the group's own element objects
-        own = {id(x) for x in built.elements}
-        assert all(id(x) in own for x in built.generators)
+        # the generators wrap the group's own image_set tuples
+        own = {id(x) for x in built.image_set}
+        assert all(id(x.images) in own for x in built.generators)
 
 
 @pytest.mark.parametrize(
     "degree,elements",
     [
-        (3, [Perm((1, 2, 3)), Perm((2, 1))]),
-        (2, [Perm((1, 2)), Perm((2, 3, 1))]),
-        (3, [Perm((1, 2)), Perm((2, 1))]),
+        (3, [(1, 2, 3), (2, 1)]),
+        (2, [(1, 2), (2, 3, 1)]),
+        (3, [(1, 2), (2, 1)]),
     ],
     ids=["one-smaller", "one-larger", "all-smaller"],
 )
@@ -396,14 +396,39 @@ def test_from_elements_rejects_other_degrees(degree, elements):
 
 
 def test_from_elements_rejects_non_subgroups():
-    s3 = symmetric_group(3)
     with pytest.raises(NotASubgroupError, match="identity"):
-        PermGroup.from_elements(3, [Perm((2, 1, 3))])
-    with pytest.raises(NotASubgroupError, match="inverse"):
-        PermGroup.from_elements(3, [s3.identity, Perm((2, 3, 1))])
+        PermGroup.from_elements(3, [(2, 1, 3)])
+    with pytest.raises(NotASubgroupError, match=r"^inverse of \(1 2 3\) missing$"):
+        PermGroup.from_elements(3, [(1, 2, 3), (2, 3, 1)])
     # closed under inverses but not under products: the join passes the cap
     with pytest.raises(CapExceededError):
-        PermGroup.from_elements(3, [s3.identity, Perm((2, 1, 3)), Perm((1, 3, 2))])
+        PermGroup.from_elements(3, [(1, 2, 3), (2, 1, 3), (1, 3, 2)])
+
+
+def test_from_elements_builds_only_its_generators(monkeypatch):
+    """from_elements takes image tuples and wraps only its generators as
+    Perms; like __init__, it leaves the sorted elements unbuilt until read."""
+    groups = [symmetric_group(4), alternating_group(5), young_two_block(5, 2),
+              trivial_subgroup(symmetric_group(3))]
+    built = []
+    init, wrap = Perm.__init__, Perm._from_images
+
+    def counting_init(self, images):
+        built.append(images)
+        init(self, images)
+
+    def counting_wrap(images):
+        built.append(images)
+        return wrap(images)
+
+    monkeypatch.setattr(Perm, "__init__", counting_init)
+    monkeypatch.setattr(Perm, "_from_images", staticmethod(counting_wrap))
+    for group in groups:
+        built.clear()
+        sub = PermGroup.from_elements(group.degree, set(group.image_set), name="copy")
+        assert len(built) == len(sub.generators) and sub._elements is None
+        assert sub.image_set == group.image_set and sub.name == "copy"
+        assert sub.elements == group.elements and len(sub._elements) == group.order
 
 
 @pytest.mark.parametrize("degree", [0, 1])
@@ -552,6 +577,15 @@ def test_centralizer_normalizer_weyl():
     x = Perm.parse("(1 2 3 4)", 4)
     c = centralizer(g, x)
     assert c.order == 4  # the cyclic group on x itself
+    for y in g.elements:
+        # against Perm multiplication, the reference for the tuple paths
+        assert (y in centralizer(g, y)) and (y in c) == (y * x == x * y)
+        want = sorted(y * z * y.inverse() for z in c.elements)
+        assert conjugate_subgroup(c, y).elements == tuple(want)
+    with pytest.raises(UsageError, match="cannot multiply degrees"):
+        centralizer(g, Perm.identity(3))
+    with pytest.raises(UsageError, match="cannot multiply degrees"):
+        conjugate_subgroup(c, Perm.identity(5))
     v = PermGroup(4, [Perm.parse("(1 2)(3 4)", 4), Perm.parse("(1 3)(2 4)", 4)])
     assert normalizer(g, v) == g  # the Klein four group is normal in Sym(4)
     assert weyl_order(g, v) == 6
@@ -702,7 +736,7 @@ def test_fused_pairs_alternating():
 def fixed_point_alt(n):
     """Alt(n-1) inside Alt(n), fixing the last point."""
     a = alternating_group(n)
-    return PermGroup.from_elements(n, [x for x in a.elements if x(n) == n])
+    return PermGroup.from_elements(n, [x for x in a.image_set if x[n - 1] == n])
 
 
 def test_random_subgroup_conjugation_closure():

@@ -186,6 +186,12 @@ def test_ru_certificate_at_n12_builds_no_group(built_orders):
     assert built_orders == []
 
 
+def test_dcf_closes_each_symmetric_group_once(built_orders):
+    # Sym(6) and Sym(5) are taken from the inclusion between them
+    assert verify_dcf_symmetric(RepRingFunctor(), 3, 6).passed
+    assert built_orders.count(factorial(6)) == built_orders.count(factorial(5)) == 1
+
+
 def test_decompose_hand_example():
     # x = [S2/e]: two points restrict to 2 [e/e], and the correction lands
     # on the kernel vector [S2/e] - 2 [S2/S2]

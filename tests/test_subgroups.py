@@ -82,7 +82,7 @@ def test_lattice_matches_brute_force(make):
     assert len(lat.classes) == len(want)
     class_of = {}
     for cls, (rep, orbit) in zip(lat.classes, want):
-        expect = PermGroup.from_elements(group.degree, rep)
+        expect = PermGroup.from_elements(group.degree, [p.images for p in rep])
         assert cls.representative.elements == expect.elements
         assert cls.representative.generators == expect.generators
         body = ",".join(str(g) for g in expect.generators) or "()"
