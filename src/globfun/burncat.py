@@ -358,7 +358,7 @@ def section_of_restriction(n: int) -> SectionReport:
     basis = rep.basis(cur)
     matrix = rep.res(inc).matrix
     ident = BurnsideCatMorphism.identity(prev)
-    x = solve_exact(matrix, rep._coords(ident, prev))
+    [x] = solve_exact(matrix, [rep._coords(ident, prev)])
     if x is None:
         raise MathCheckError("composition with the restriction morphism is not onto"
                              " the identity; this contradicts the splitting")

@@ -28,6 +28,11 @@ irreducibles, restriction to Sym(n-1) removes one box (the branching rule)
 and inflate-then-induce from Sym(k) x Sym(n-k) adds a horizontal strip of
 n-k boxes (Pieri's rule), so `pieri_matrix` reads both off partitions with
 no table and no group.
+
+One cap, MAX_TABLE_N, bounds all of this partition work, and no group
+order enters it: a table may move at most that many points, and
+`partitions`, which every table and every tower map reads, refuses a larger
+n before it enumerates anything.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .perms import GroupHom, Perm, PermGroup
 
 Partition = tuple[int, ...]
 
-MAX_TABLE_N = 8
+MAX_TABLE_N = 20
 
 
 @cache
@@ -48,6 +53,7 @@ def partitions(n: int) -> tuple[Partition, ...]:
     """Partitions of n, reverse lexicographic: (n) first, (1,...,1) last."""
     if n < 0:
         raise UsageError("n must be >= 0")
+    _check_moved_degree(n)
 
     def gen(remaining, biggest):
         if remaining == 0:
@@ -300,7 +306,8 @@ def _table_for(degree: int, blocks) -> CharacterTable:
 
 
 def _check_moved_degree(moved: int):
-    """Refuse a table whose blocks of size > 1 move more than MAX_TABLE_N points."""
+    """Refuse partition work on more than MAX_TABLE_N points: a table whose
+    blocks of size > 1 move more, or the partitions of a larger n."""
     if moved > MAX_TABLE_N:
         raise UnsupportedGroupError(f"table for moved degree {moved} exceeds cap {MAX_TABLE_N}")
 

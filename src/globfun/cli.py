@@ -48,8 +48,9 @@ def _check_order(factors, lattice: bool):
 
 
 def _check_table(functor: str, *degrees):
-    """Refuse an RU command before any group is built when its groups move
-    more points than a character table covers; `degrees` are block sizes."""
+    """Refuse an RU command before any group, table or Pieri matrix is built
+    when its groups move more points than the table cap covers; `degrees`
+    are block sizes.  The RU split builds no group, so this is its only cap."""
     if functor == "repring":
         _check_moved_degree(sum(d for d in degrees if d > 1))
 
@@ -120,7 +121,9 @@ def _cmd_dcf(cache, args):
 
 
 def _cmd_split(cache, args):
-    _check_order(range(2, args.n + 1), args.functor == "burnside")
+    if args.functor == "burnside":
+        _check_order(range(2, args.n + 1), True)
+    _check_table(args.functor, args.n)
     f = _functor(args.functor)
     report = splitting_report(f, args.n)
     return report.to_dict(), report.summary_lines(), True

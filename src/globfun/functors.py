@@ -387,7 +387,9 @@ def standard_probe(max_n: int) -> AxiomProbe:
             for block in _consecutive_blocks(comp):
                 homs.append(restrict_to_block(y, block))
     for n in range(2, max_n + 1):
-        homs.append(standard_inclusion(n))
+        # i_n as standard_inclusion(n) builds it, on the probe's own groups
+        inc = GroupHom.from_callable(full_group[n - 1], full_group[n], lambda x: x + (n,))
+        homs.append(inc)
 
     chains = []
     for n, subs in by_degree.items():

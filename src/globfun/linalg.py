@@ -133,19 +133,25 @@ def integer_kernel(a) -> list[list[int]]:
     return out
 
 
-def solve_exact(a, b):
-    """An integer solution x of A x = b, or None when there is none."""
+def solve_exact(a, bs):
+    """For each right-hand side b in `bs`, an integer solution x of A x = b,
+    or None when there is none; one Hermite form serves every b."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
-    if len(b) != rows:
+    if any(len(b) != rows for b in bs):
         raise ValueError("dimension mismatch")
     if cols == 0:
-        return [] if not any(b) else None
+        return [None if any(b) else [] for b in bs]
     # x A^T = b as row vectors; with U A^T = H write x = z U, solve z H = b.
     h, u = hermite_normal_form(transpose(a))
-    z = [0] * cols
+    pivots = _pivot_columns(h)
+    return [_solve_hermite(h, u, pivots, b) for b in bs]
+
+
+def _solve_hermite(h, u, pivots, b):
+    z = [0] * len(u)
     rem = list(b)
-    for r, c in _pivot_columns(h):
+    for r, c in pivots:
         if rem[c] % h[r][c]:
             return None
         z[r] = rem[c] // h[r][c]
@@ -153,7 +159,7 @@ def solve_exact(a, b):
             rem = [x - z[r] * y for x, y in zip(rem, h[r])]
     if any(rem):
         return None
-    x = [0] * cols
+    x = [0] * len(u)
     for zi, urow in zip(z, u):
         if zi:
             x = [xv + zi * uv for xv, uv in zip(x, urow)]

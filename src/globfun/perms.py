@@ -297,19 +297,24 @@ class PermGroup:
 
         Closure is the caller's responsibility (intersections, preimages and
         point stabilizers of subgroups are closed by construction); degrees,
-        identity and inverses are cheap to check, so they are.  As with
-        `__init__`, the `Perm` elements are built only when first read.
+        bijections, inverses and the identity are cheap to check, so they
+        are.  As with `__init__`, the `Perm` elements are built only when
+        first read.
         """
         tset = frozenset(images)
         elems = sorted(tset)
         for x in elems:
             if len(x) != degree:
                 raise UsageError(f"element degree {len(x)} != {degree}")
+        for x in elems:
+            try:
+                inv = _inverse(x)  # finds each of 1..degree in x, or fails
+            except ValueError:
+                raise InvalidPermutationError(f"not a bijection of 1..{degree}: {x}")
+            if inv not in tset:
+                raise NotASubgroupError(f"inverse of {Perm._from_images(x)} missing")
         if tuple(range(1, degree + 1)) not in tset:
             raise NotASubgroupError("identity missing")
-        for x in elems:
-            if _inverse(x) not in tset:
-                raise NotASubgroupError(f"inverse of {Perm._from_images(x)} missing")
         g = PermGroup.__new__(PermGroup)
         g.degree = degree
         g.image_set = tset

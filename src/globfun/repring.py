@@ -8,7 +8,9 @@ failure to be integral would signal a bug, not a data condition.
 
 Along the tower Sym(0) <= Sym(1) <= ... all three maps the splitting reads
 are partition combinatorics (`characters.pieri_matrix`), so they need
-neither a group nor a character table.
+neither a group nor a character table.  They read `partitions`, so the
+table cap `characters.MAX_TABLE_N` bounds them: the tower past
+Sym(MAX_TABLE_N) is refused before any Pieri matrix is built.
 """
 
 from .characters import (

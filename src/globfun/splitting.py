@@ -224,10 +224,9 @@ def splitting_report(f: GlobalFunctor, n: int) -> SplittingReport:
             lower = [list(r) for r in psi(f, k, n - 1).matrix]
             if not mat_eq(lifted, lower):
                 raise MathCheckError(f"ladder relation fails at k={k}, n={n}")
-        prev_rank = f.tower_value(n - 1).rank
-        for j in range(prev_rank):
-            e = [1 if i == j else 0 for i in range(prev_rank)]
-            if solve_exact(down, e) is None:
+        preimages = solve_exact(down, identity_matrix(f.tower_value(n - 1).rank))
+        for j, x in enumerate(preimages):
+            if x is None:
                 raise MathCheckError(
                     f"basis vector {j} of the lower level has no integer preimage"
                 )
@@ -257,7 +256,7 @@ def decompose(f: GlobalFunctor, n: int, x):
             raise MathCheckError("nonzero residue left for an empty kernel")
         top = ()
     else:
-        coords = solve_exact(transpose(basis), residual)
+        [coords] = solve_exact(transpose(basis), [residual])
         if coords is None:
             raise MathCheckError("residue does not lie in the top kernel lattice")
         top = tuple(coords)

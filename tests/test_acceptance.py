@@ -39,7 +39,7 @@ from globfun.splitting import (
     splitting_report,
     verify_dcf_symmetric,
 )
-from globfun.linalg import solve_exact
+from globfun.linalg import identity_matrix, solve_exact
 
 DCF_CAP = {"burnside": 5, "ru": 6}
 SPLIT_CAP = {"burnside": 5, "ru": 7}
@@ -130,9 +130,8 @@ def test_criterion_05_restriction_surjective(capsys, burnside, repring):
         for n in range(1, SPLIT_CAP[f.name] + 1):
             matrix = f.res(standard_inclusion(n)).matrix
             rank = f.value(symmetric_group(n - 1)).rank
-            for i in range(rank):
-                unit = [1 if j == i else 0 for j in range(rank)]
-                if solve_exact(matrix, unit) is None:
+            for i, x in enumerate(solve_exact(matrix, identity_matrix(rank))):
+                if x is None:
                     bad.append(f"{f.name} n={n} basis {i}")
     report(capsys, 5, "restriction to one level down is onto", not bad, "; ".join(bad))
 

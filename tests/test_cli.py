@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from globfun import cli
+from globfun import cli, perms
 from globfun.burnside import BurnsideFunctor
 from globfun.functors import CorruptedTransfer
 from globfun.perms import PermGroup, symmetric_group, young_two_block
@@ -69,7 +69,7 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         ("decompose", "--functor", "burnside", "--n", "2", "--element", "{bad"),
         ("marks", "--group", "Q8"),
         ("dcf", "--functor", "burnside", "--n", "3", "--k", "3"),
-        ("char-table", "--n", "9"),
+        ("char-table", "--n", "21"),
         ("functor-value", "--functor", "repring", "--group", "A5"),
     ]
     for argv in cases:
@@ -113,15 +113,15 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("GLOBFUN_MAX_LATTICE_ORDER")
     # groups a command builds itself meet the caps before any work starts
     for env, argv, marker in [
-        ({"GLOBFUN_MAX_GROUP_ORDER": "100"}, ("split", "--functor", "repring", "--n", "6"),
+        ({"GLOBFUN_MAX_GROUP_ORDER": "100"}, ("split", "--functor", "burnside", "--n", "6"),
          "cap 100"),
         ({"GLOBFUN_MAX_GROUP_ORDER": "100"},
          ("fusion", "--family", "alternating", "--n-range", "5..6"), "cap 100"),
         ({"GLOBFUN_MAX_LATTICE_ORDER": "10"}, ("section", "--n", "4"), "cap 10"),
         ({"GLOBFUN_MAX_LATTICE_ORDER": "30"},
          ("section", "--n", "4", "--with-product-group", "S2"), "cap 30"),
-        ({"GLOBFUN_MAX_GROUP_ORDER": "60000"}, ("split", "--functor", "repring", "--n", "9"),
-         "cap 60000"),
+        # the RU split builds no group: the table cap alone bounds it
+        ({}, ("split", "--functor", "repring", "--n", "21"), "exceeds cap 20"),
         ({}, ("verify-axioms", "--functor", "repring", "--max-n", "1000000"), "cap 50000"),
         # a range past 8 is refused as a range, before the cap is looked at
         ({}, ("fusion", "--family", "alternating", "--n-range", "5..1000000"), "5 <= n <= 8"),
@@ -154,20 +154,21 @@ def test_bad_cap_exits_2_before_any_command(capsys, monkeypatch, value):
 @pytest.mark.parametrize(
     "argv",
     [
-        ("decompose", "--functor", "repring", "--n", "9"),
-        ("dcf", "--functor", "repring", "--n", "9", "--k", "3"),
-        ("verify-axioms", "--functor", "repring", "--max-n", "9"),
-        ("functor-value", "--functor", "repring", "--group", "S9"),
-        ("functor-value", "--functor", "repring", "--group", "S2xS7"),
+        ("decompose", "--functor", "repring", "--n", "21"),
+        ("dcf", "--functor", "repring", "--n", "21", "--k", "3"),
+        ("verify-axioms", "--functor", "repring", "--max-n", "21"),
+        ("functor-value", "--functor", "repring", "--group", "S21"),
+        ("functor-value", "--functor", "repring", "--group", "S2xS19"),
+        ("split", "--functor", "repring", "--n", "21"),
     ],
 )
 def test_table_cap_refuses_before_any_group_is_built(capsys, monkeypatch, built_orders, argv):
-    """With a group cap that admits Sym(9), RU commands are refused by the
+    """With a group cap that admits Sym(21), RU commands are refused by the
     table cap from n or the spec alone."""
-    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "400000")
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", str(10**20))
     code, out, err = run(capsys, "--no-cache", *argv)
     assert code == 2 and out == ""
-    assert err == "error: table for moved degree 9 exceeds cap 8\n"
+    assert err == "error: table for moved degree 21 exceeds cap 20\n"
     assert built_orders == []
 
 
@@ -230,7 +231,7 @@ CHAR_TABLE_DIGESTS = {
 
 def test_char_table_json_is_pinned_and_builds_no_group(capsys, monkeypatch):
     # char-table builds no group, so a group cap of 1 does not reach it;
-    # only the table cap (moved degree <= 8) does
+    # only the table cap (moved degree <= 20) does
     monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "1")
     for k, digest in CHAR_TABLE_DIGESTS.items():
         code, out, err = run(capsys, "--no-cache", "--output", "json", "char-table", "--n", str(k))
@@ -249,7 +250,7 @@ def test_char_table_cap_is_read_from_n(capsys, n):
     finally:
         tracemalloc.stop()
     assert (code, out) == (2, "")
-    assert err == f"error: table for moved degree {n} exceeds cap 8\n"
+    assert err == f"error: table for moved degree {n} exceeds cap 20\n"
     assert peak < 1 << 20
 
 
@@ -307,19 +308,32 @@ def test_warm_marks_builds_no_group(capsys, tmp_path, built_orders):
     assert built_orders == []
 
 
-def test_ru_split_reads_the_tower(capsys, monkeypatch, built_orders):
-    """The RU split builds no group, so a raised group cap reaches n = 12;
-    the cap is still checked on the order of Sym(n)."""
+def test_ru_split_reads_the_tower(capsys, built_orders):
+    """The RU split builds no group, so at the default caps it reaches
+    n = 12, although 12! is far past the group cap."""
     code, out, _ = run(capsys, "--no-cache", "split", "--functor", "repring", "--n", "7")
     assert code == 0 and "component ranks: [1, 0, 1, 1, 2, 2, 4, 4]" in out
     assert built_orders == []
-    for n in (9, 12):
-        code, out, err = run(capsys, "--no-cache", "split", "--functor", "repring", "--n", str(n))
-        assert code == 2 and out == "" and "group order exceeded cap 50000" in err
-    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "479001600")
     code, out, err = run(capsys, "--no-cache", "split", "--functor", "repring", "--n", "12")
     assert code == 0, err
     assert "component ranks: [1, 0, 1, 1, 2, 2, 4, 4, 7, 8, 12, 14, 21] (total 77)" in out
+    assert built_orders == []
+
+
+def test_ru_split_answers_under_a_group_cap_of_1(capsys, monkeypatch, built_orders):
+    # the bytes split --functor repring --n 9 printed under a raised group cap
+    # before the group cap stopped reaching it; no group is closed on the way
+    def refuse(*args):
+        raise AssertionError("a group was closed")
+
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "1")
+    monkeypatch.setattr(perms, "close_generators", refuse)
+    code, out, err = run(capsys, "--no-cache", "--output", "json", "split", "--functor",
+                         "repring", "--n", "9")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "dbd7e375999f8d52c07d43cba777d81e10d5d39ad23ba654a873b3fe2d73e769"
+    )
     assert built_orders == []
 
 

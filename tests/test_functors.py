@@ -233,13 +233,14 @@ def test_standard_probe_structure():
 
 
 def test_standard_probe_shares_its_groups():
-    # every hom but the standard inclusions starts at one of the probe's own
-    # group objects, block projections included
+    # every hom starts at one of the probe's own group objects, block
+    # projections included, and the standard inclusions also end at one
     probe = standard_probe(4)
     own = {id(g) for g in probe.groups}
-    kept = [a for a in probe.homs if a.source.degree >= a.target.degree]
-    assert len(kept) == len(probe.homs) - 3
-    assert all(id(a.source) in own for a in kept)
+    assert all(id(a.source) in own for a in probe.homs)
+    inclusions = [a for a in probe.homs if a.source.degree < a.target.degree]
+    assert len(inclusions) == 3
+    assert all(id(a.target) in own for a in inclusions)
 
 
 def test_axioms_pass_small_probe():

@@ -8,6 +8,8 @@ depends on the code under test.
 import random
 from fractions import Fraction
 
+import pytest
+
 from globfun.linalg import (
     det_exact,
     hermite_normal_form,
@@ -105,8 +107,7 @@ def test_kernel_random():
         if basis:
             coeffs = [rng.randint(-3, 3) for _ in basis]
             v = [sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(cols)]
-            back = solve_exact(transpose(basis), v)
-            assert back is not None
+            assert solve_exact(transpose(basis), [v]) != [None]
 
 
 def test_kernel_rank_nullity():
@@ -121,10 +122,14 @@ def test_kernel_rank_nullity():
 
 def test_solve_exact():
     a = [[2, 0], [0, 3]]
-    assert solve_exact(a, [4, 9]) == [2, 3]
-    assert solve_exact(a, [1, 0]) is None  # 2x = 1 has no integer solution
-    assert solve_exact([[1, 1]], [5]) is not None
-    assert solve_exact([[0, 0]], [1]) is None
+    # one answer per right-hand side, each on its own: 2x = 1 has no integer solution
+    assert solve_exact(a, [[4, 9], [1, 0]]) == [[2, 3], None]
+    assert solve_exact(a, [[1, 0], [4, 9]]) == [None, [2, 3]]
+    assert solve_exact(a, []) == []
+    assert solve_exact([[1, 1]], [[5]]) != [None]
+    assert solve_exact([[0, 0]], [[1]]) == [None]
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        solve_exact(a, [[4, 9], [1]])
 
 
 def test_solve_random_consistency():
@@ -132,11 +137,12 @@ def test_solve_random_consistency():
     for _ in range(50):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = random_matrix(rng, rows, cols)
-        x = [rng.randint(-5, 5) for _ in range(cols)]
-        b = mat_vec(a, x)
-        got = solve_exact(a, b)
-        assert got is not None
-        assert mat_vec(a, got) == b
+        bs = [mat_vec(a, [rng.randint(-5, 5) for _ in range(cols)]) for _ in range(3)]
+        solutions = solve_exact(a, bs)
+        assert len(solutions) == len(bs)
+        for b, got in zip(bs, solutions):
+            assert got is not None
+            assert mat_vec(a, got) == b
 
 
 def test_det_against_fraction_oracle():
@@ -175,4 +181,4 @@ def test_reduce_mod_lattice():
 def test_empty_shapes():
     assert integer_kernel([[0, 0], [0, 0]]) == identity_matrix(2)
     assert mat_mul([], []) == []
-    assert solve_exact([], []) == []
+    assert solve_exact([], [[]]) == [[]]

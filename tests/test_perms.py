@@ -395,6 +395,12 @@ def test_from_elements_rejects_other_degrees(degree, elements):
         PermGroup.from_elements(degree, elements)
 
 
+@pytest.mark.parametrize("bad", [(1, 1, 3), (0, 2, 3)])
+def test_from_elements_rejects_non_bijections(bad):
+    with pytest.raises(InvalidPermutationError, match=r"^not a bijection of 1\.\.3: "):
+        PermGroup.from_elements(3, [(1, 2, 3), bad])
+
+
 def test_from_elements_rejects_non_subgroups():
     with pytest.raises(NotASubgroupError, match="identity"):
         PermGroup.from_elements(3, [(2, 1, 3)])

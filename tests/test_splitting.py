@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from globfun.burnside import BurnsideFunctor
-from globfun.errors import CapExceededError, MathCheckError, UsageError
+from globfun.errors import CapExceededError, MathCheckError, UnsupportedGroupError, UsageError
 from globfun.functors import CorruptedTransfer, GlobalFunctor
 from globfun.repring import RepRingFunctor
 from globfun.splitting import (
@@ -31,7 +31,7 @@ from globfun.splitting import (
     splitting_report,
     verify_dcf_symmetric,
 )
-from globfun import characters, subgroups
+from globfun import characters, repring, subgroups
 from globfun.characters import partition_count
 from globfun.perms import (
     PermGroup,
@@ -49,6 +49,17 @@ def test_library_groups_meet_the_environment_cap(monkeypatch):
     with pytest.raises(CapExceededError) as exc:
         verify_dcf_symmetric(RepRingFunctor(), 2, 5)
     assert exc.value.cap == 100
+
+
+def test_ru_tower_meets_the_table_cap(monkeypatch):
+    # past the table cap the RU splitting is refused in process, with the
+    # message the CLI prints, before any Pieri matrix is built
+    def refuse(*args):
+        raise AssertionError("a Pieri matrix was built")
+
+    monkeypatch.setattr(repring, "pieri_matrix", refuse)
+    with pytest.raises(UnsupportedGroupError, match=r"^table for moved degree 21 exceeds cap 20$"):
+        splitting_report(RepRingFunctor(), 21)
 
 
 def test_kernel_basis_low_burnside():
