@@ -66,7 +66,7 @@ class CanonicalPair:
         return f"CanonicalPair{self.label()}"
 
 
-def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> CanonicalPair:
+def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup, part=None) -> CanonicalPair:
     """Minimize (H, alpha) over conjugation in the target and the source.
 
     The key is the sorted element tuple of the conjugated subgroup together
@@ -83,24 +83,17 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
       so a tuple already seen means its whole orbit is in).  Only the
       distinct ones are compared, on their value tables one entry at a time,
       and only the least table is built in full.
+
+    The subgroup half depends on H alone; a caller that pairs one H with
+    many homomorphisms passes it in as `part`, from `_least_conjugate`.
     """
     source = alpha.target
-    norm = normalizer(target, h)
-    best = None
-    for g in left_coset_reps(target, norm)[1]:
-        skey = tuple(sorted(map(_conjugator(g), h.image_set)))
-        if best is None or skey < best[0]:
-            best = (skey, g)
-    skey, g0 = best
-    sub = PermGroup.from_elements(target.degree, skey)
+    sub, skey, conjs = part or _least_conjugate(h, target)
     subgens = [s.images for s in sub.generators]
     table = alpha.table
     kconj = [_conjugator(k) for k in sorted(source.image_set)]
-    to_ginv = _right_mul(_inverse(g0))  # m -> m g0^-1
     found = {}  # generator image tuple -> (pulled-back values on skey, k's conjugator)
-    for m in sorted(norm.image_set):
-        # y |-> g^-1 y g for g = g0 m^-1, as m^-1 runs over N with m
-        conj = _conjugator(to_ginv(m))
+    for conj in conjs:
         vals = tuple([table[conj(s)] for s in subgens])
         if vals in found:
             continue
@@ -124,13 +117,32 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
     return CanonicalPair(sub, hom, (skey, hkey))
 
 
+def _least_conjugate(h: PermGroup, target: PermGroup):
+    """The subgroup half of canonical_pair: the least conjugate H0 of H, as a
+    group and as its sorted element tuple, and, as m runs over the sorted
+    elements of N = N_target(H), the maps y |-> g^-1 y g for g = g0 m^-1,
+    where g0 H g0^-1 = H0."""
+    norm = normalizer(target, h)
+    best = None
+    for g in left_coset_reps(target, norm)[1]:
+        skey = tuple(sorted(map(_conjugator(g), h.image_set)))
+        if best is None or skey < best[0]:
+            best = (skey, g)
+    skey, g0 = best
+    to_ginv = _right_mul(_inverse(g0))  # m -> m g0^-1
+    conjs = [_conjugator(to_ginv(m)) for m in sorted(norm.image_set)]
+    return PermGroup.from_elements(target.degree, skey), skey, conjs
+
+
 def morphism_basis(source: PermGroup, target: PermGroup):
     """All pair classes (H <= target, alpha: H -> source), sorted by key."""
     lat = subgroup_classes(target)
     found = {}
     for cls in lat.classes:
-        for alpha in all_homs(cls.representative, source):
-            pair = canonical_pair(cls.representative, alpha, target)
+        h = cls.representative
+        part = _least_conjugate(h, target)
+        for alpha in all_homs(h, source):
+            pair = canonical_pair(h, alpha, target, part)
             found.setdefault(pair.key, pair)
     return [found[k] for k in sorted(found)]
 

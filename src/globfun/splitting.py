@@ -20,11 +20,14 @@ certificate builds no group; the Burnside functor builds the groups.
 The alternating story is the opposite: for n >= 5 restriction out of A_n
 need not be surjective, witnessed by conjugacy fusion, and the low cases
 n = 3, 4 still split because a unique group-homomorphism retraction exists.
-The fusion search reads only class data of A_{n-1}: an element's A_n-class
-is its cycle type, split by the parity of a conjugator when the cycle type
-has distinct odd parts.
+Fusion is read from the partitions of n - 1 and builds no group: an even
+type splits into two A_{n-1}-classes when its parts are distinct and odd,
+and the two fuse in A_n when one part is 1.  So fusion happens at n = 5, 7
+and every n >= 9, up to the table cap.  Each fused pair comes with an even
+conjugator and the parity key that separates its halves, checked in O(n).
 """
 
+from .characters import _check_moved_degree, partitions
 from .errors import MathCheckError, UsageError
 from .functors import FreeAbelian, GlobalFunctor, ZMap
 from .linalg import (
@@ -39,9 +42,7 @@ from .linalg import (
 from .perms import (
     GroupHom,
     Perm,
-    PermGroup,
     _conjugator,
-    _pairs_sharing_key,
     all_homs,
     alternating_group,
     standard_inclusion,
@@ -279,13 +280,6 @@ def reassemble(f: GlobalFunctor, n: int, components):
 # the alternating family
 
 
-def embedded_alternating(n: int) -> PermGroup:
-    """Alt(n-1) inside Alt(n), fixing the last point."""
-    inner = alternating_group(n - 1)
-    tail = tuple(range(inner.degree + 1, n + 1))
-    return PermGroup.from_elements(n, [x + tail for x in inner.image_set], name=f"A{n - 1}")
-
-
 class AlternatingFusionReport:
     """Fusion of conjugacy classes along Alt(n-1) <= Alt(n), and what it
     says about restriction out of the representation ring value."""
@@ -330,17 +324,72 @@ class AlternatingFusionReport:
 
 
 def non_splitting_witness_alternating(n: int) -> AlternatingFusionReport:
-    """Search Alt(n-1) <= Alt(n) for non-conjugate classes that fuse.
+    """The classes of Alt(n-1) <= Alt(n) that fuse, read from the partitions
+    of n - 1 with no group built.
 
     A fused pair means every restricted class function takes equal values on
     the two classes, so restriction out of the representation ring value at
     Alt(n) cannot be surjective, and a natural splitting is impossible.
+
+    An even type mu of n - 1 is one Alt(n-1)-class, or two halves when mu
+    has distinct odd parts (James and Kerber, The Representation Theory of
+    the Symmetric Group, 1981, section 1.2).  The halves fuse in Alt(n) exactly when
+    mu also has a part 1, since mu plus the fixed point n then no longer
+    has distinct parts.  Each pair is certified by `_fusion_witness`.
     """
-    if not 5 <= n <= 8:
-        raise UsageError("the fusion search covers 5 <= n <= 8")
-    h = embedded_alternating(n)
-    pairs = _pairs_sharing_key(h.class_representatives(), _alternating_class_key)
-    return AlternatingFusionReport(n, pairs, len(h.conjugacy_classes()))
+    if n < 5:
+        raise UsageError("the fusion search needs n >= 5")
+    _check_moved_degree(n)
+    class_count = 0
+    pairs = []
+    for mu in partitions(n - 1):
+        if (n - 1 - len(mu)) % 2:
+            continue  # an odd type
+        splits = len(set(mu)) == len(mu) and all(part % 2 for part in mu)
+        class_count += 2 if splits else 1
+        if splits and mu[-1] == 1:
+            pairs.append(_fusion_witness(n, mu))
+    return AlternatingFusionReport(n, sorted(pairs), class_count)
+
+
+def _fusion_witness(n: int, mu) -> tuple[Perm, Perm]:
+    """The least member of each Alt(n-1)-half of the class of type mu, with
+    an O(n) certificate that the two are conjugate in Alt(n).
+
+    The least permutation of a type puts its cycles on consecutive points,
+    shortest first, each as (a a+1 ... b); so x fixes 1 and ends in the
+    longest cycle, of length at least 3.  Its conjugate y by t = (n-2 n-1)
+    swaps the last two points of that cycle.  A permutation of type mu
+    between x and y agrees with both before that cycle's third-last point,
+    sends that point where x or y does, and is then x or y.  As t is odd, y
+    lies in the other half, and the even s = t (1 n) carries x to y since x
+    fixes both 1 and n.
+    """
+    m = n - 1
+    images = []
+    for part in reversed(mu):
+        start = len(images) + 1
+        images += range(start + 1, start + part)
+        images.append(start)
+    x = tuple(images) + (n,)
+    t = tuple(range(1, m - 1)) + (m, m - 1, n)
+    y = _conjugator(t)(x)
+    s = tuple(t[j - 1] for j in (n,) + tuple(range(2, n)) + (1,))
+    _certify_fusion(mu, x, y, s)
+    return Perm._from_images(x), Perm._from_images(y)
+
+
+def _certify_fusion(mu, x: tuple, y: tuple, s: tuple):
+    """Check that the even s carries x to y, and that x and y, both fixing
+    the last point, lie in the two Alt(n-1)-halves of the type mu."""
+    n = len(x)
+    if not Perm(s).is_even() or _conjugator(s)(x) != y:
+        raise MathCheckError(f"no even conjugator carries {mu} witness {x} to {y}")
+    if x[-1] != n or y[-1] != n:
+        raise MathCheckError(f"fusion witnesses {x}, {y} move the point {n}")
+    keys = {_alternating_class_key(Perm._from_images(z[:-1])) for z in (x, y)}
+    if keys != {(mu, False), (mu, True)}:
+        raise MathCheckError(f"fusion witnesses {x}, {y} are not the two halves of {mu}")
 
 
 def _alternating_class_key(p: Perm):

@@ -174,6 +174,25 @@ def test_canonical_pair_matches_reference_on_products():
         _assert_same_pair(sub, alpha, big_cur)
 
 
+def test_morphism_basis_finds_each_normalizer_once(monkeypatch):
+    # the subgroup half of canonical_pair is read once per class, and the
+    # pairs it yields are the ones canonical_pair finds on its own
+    calls = []
+    normalizer = burncat.normalizer
+
+    def counting(g, h):
+        calls.append(h)
+        return normalizer(g, h)
+
+    monkeypatch.setattr(burncat, "normalizer", counting)
+    basis = morphism_basis(S[3], S[4])
+    assert len(calls) == len(subgroup_classes(S[4]).classes)
+    monkeypatch.setattr(burncat, "normalizer", normalizer)
+    for pair in basis:
+        alone = canonical_pair(pair.subgroup, pair.hom, S[4])
+        assert alone.key == pair.key and alone.label() == pair.label()
+
+
 def test_identity_law():
     for k, g in ((2, 3), (3, 2), (1, 4)):
         ident_g = BurnsideCatMorphism.identity(S[g])

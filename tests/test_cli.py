@@ -60,8 +60,8 @@ def test_json_output_roundtrips(capsys):
 
 def test_usage_errors_exit_2(capsys, monkeypatch):
     cases = [
-        ("fusion", "--family", "alternating", "--n-range", "9..9"),
-        ("fusion", "--family", "alternating", "--n-range", "5..9"),
+        ("fusion", "--family", "alternating", "--n-range", "4..4"),
+        ("fusion", "--family", "alternating", "--n-range", "5..21"),
         ("fusion", "--family", "alternating", "--n-range", "bogus"),
         ("fusion", "--family", "alternating", "--n-range", "7..5"),
         ("decompose", "--functor", "burnside", "--n", "2", "--element", "[1.5]"),
@@ -76,16 +76,18 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
         code, _, err = run(capsys, "--no-cache", *argv)
         assert code == 2, argv
         assert "error:" in err
-    # the fusion range is refused before the group cap and before any work
+    # the fusion range is refused before any work, below 5 as a range and
+    # past 20 by the table cap; the group cap plays no part
     searched = []
     monkeypatch.setattr(cli, "non_splitting_witness_alternating", searched.append)
-    for cap in ("50000", "200000"):
+    for cap in ("1", "50000"):
         monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", cap)
-        for bad in ("5..9", "4..6"):
+        for bad, marker in (("5..21", "exceeds cap 20"), ("4..6", "n >= 5")):
             argv = ("fusion", "--family", "alternating", "--n-range", bad)
             code, out, err = run(capsys, "--no-cache", *argv)
             assert code == 2 and out == ""
-            assert "5 <= n <= 8" in err and "cap" not in err
+            assert marker in err and "group order" not in err
+            assert err.count("\n") == 1
     assert searched == []
     monkeypatch.delenv("GLOBFUN_MAX_GROUP_ORDER")
     # a negative level is refused as a level, as split does, not as a group spec
@@ -115,16 +117,14 @@ def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
     for env, argv, marker in [
         ({"GLOBFUN_MAX_GROUP_ORDER": "100"}, ("split", "--functor", "burnside", "--n", "6"),
          "cap 100"),
-        ({"GLOBFUN_MAX_GROUP_ORDER": "100"},
-         ("fusion", "--family", "alternating", "--n-range", "5..6"), "cap 100"),
         ({"GLOBFUN_MAX_LATTICE_ORDER": "10"}, ("section", "--n", "4"), "cap 10"),
         ({"GLOBFUN_MAX_LATTICE_ORDER": "30"},
          ("section", "--n", "4", "--with-product-group", "S2"), "cap 30"),
         # the RU split builds no group: the table cap alone bounds it
         ({}, ("split", "--functor", "repring", "--n", "21"), "exceeds cap 20"),
         ({}, ("verify-axioms", "--functor", "repring", "--max-n", "1000000"), "cap 50000"),
-        # a range past 8 is refused as a range, before the cap is looked at
-        ({}, ("fusion", "--family", "alternating", "--n-range", "5..1000000"), "5 <= n <= 8"),
+        # fusion builds no group: the table cap alone bounds its range
+        ({}, ("fusion", "--family", "alternating", "--n-range", "5..1000000"), "exceeds cap 20"),
         # a --group spec is refused by the order it names, before any element is built
         ({}, ("marks", "--group", "S99999999999"), "group order exceeded cap 50000"),
         ({}, ("marks", "--group", "A99999999999"), "group order exceeded cap 50000"),
@@ -333,6 +333,27 @@ def test_ru_split_answers_under_a_group_cap_of_1(capsys, monkeypatch, built_orde
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "dbd7e375999f8d52c07d43cba777d81e10d5d39ad23ba654a873b3fe2d73e769"
+    )
+    assert built_orders == []
+
+
+def test_fusion_answers_to_the_table_cap_under_a_group_cap_of_1(capsys, monkeypatch, built_orders):
+    # fusion reads partitions, so n = 9 and on need no raised group cap; the
+    # 5..8 part of the output is the bytes the group search printed
+    def refuse(*args):
+        raise AssertionError("a group was closed")
+
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "1")
+    monkeypatch.setattr(perms, "close_generators", refuse)
+    code, out, err = run(capsys, "--no-cache", "fusion", "--family", "alternating",
+                         "--n-range", "5..9")
+    assert code == 0, err
+    assert "fusion in A8 <= A9:\n  classes of (2 3 4 5 6 7 8) and (2 3 4 5 6 8 7) fuse\n" in out
+    code, out, err = run(capsys, "--no-cache", "--output", "json", "fusion", "--family",
+                         "alternating", "--n-range", "5..20")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1deef63aeff0f456c9388ae96bc8ed4cc2c0321d1052f09d8e86c25b2a0ccf06"
     )
     assert built_orders == []
 

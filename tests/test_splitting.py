@@ -20,10 +20,12 @@ from globfun.burnside import BurnsideFunctor
 from globfun.errors import CapExceededError, MathCheckError, UnsupportedGroupError, UsageError
 from globfun.functors import CorruptedTransfer, GlobalFunctor
 from globfun.repring import RepRingFunctor
+from globfun import splitting
 from globfun.splitting import (
+    _alternating_class_key,
+    _certify_fusion,
     alternating_retractions,
     decompose,
-    embedded_alternating,
     kernel_basis,
     non_splitting_witness_alternating,
     psi,
@@ -31,10 +33,11 @@ from globfun.splitting import (
     splitting_report,
     verify_dcf_symmetric,
 )
-from globfun import characters, repring, subgroups
+from globfun import characters, perms, repring, subgroups
 from globfun.characters import partition_count
 from globfun.perms import (
     PermGroup,
+    _pairs_sharing_key,
     alternating_group,
     fused_pairs,
     standard_inclusion,
@@ -348,24 +351,92 @@ def test_fusion_witness_n5():
     assert any("fuse" in line for line in rep.summary_lines())
 
 
+def embedded_alternating(n: int) -> PermGroup:
+    """Alt(n-1) inside Alt(n), fixing the last point: the group search that
+    the fusion report is checked against."""
+    inner = alternating_group(n - 1)
+    tail = tuple(range(inner.degree + 1, n + 1))
+    return PermGroup.from_elements(n, [x + tail for x in inner.image_set], name=f"A{n - 1}")
+
+
 def test_fusion_matches_fused_pairs_without_building_alt_n(built_orders):
-    reports = {}
-    for n in range(5, 9):
-        built_orders.clear()
-        reports[n] = non_splitting_witness_alternating(n)
-        assert max(built_orders) == factorial(n - 1) // 2
+    # the report reads partitions and builds no group; the oracle builds
+    # Alt(n-1) and Alt(n) and compares classes element by element
+    reports = {n: non_splitting_witness_alternating(n) for n in range(5, 9)}
+    assert built_orders == []
     for n, rep in reports.items():
         h = embedded_alternating(n)
         assert rep.pairs == fused_pairs(h, alternating_group(n))
+        assert rep.pairs == _pairs_sharing_key(h.class_representatives(), _alternating_class_key)
         assert rep.class_count == len(h.conjugacy_classes())
     assert [len(reports[n].pairs) for n in range(5, 9)] == [1, 0, 1, 0]
+
+
+def test_fusion_n9_matches_the_group_search(monkeypatch):
+    # Alt(8) is past the default group cap; its classes are paired by the
+    # parity key, which the test above checks against Alt(n) for n <= 8
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", str(factorial(8) // 2))
+    rep = non_splitting_witness_alternating(9)
+    h = embedded_alternating(9)
+    assert rep.pairs == _pairs_sharing_key(h.class_representatives(), _alternating_class_key)
+    assert rep.class_count == len(h.conjugacy_classes()) == 14
+    assert [a.cycle_type() for a, _ in rep.pairs] == [(7, 1, 1)]
+
+
+def test_fusion_n10_pair():
+    rep = non_splitting_witness_alternating(10)
+    [(a, b)] = rep.pairs
+    assert (str(a), str(b)) == ("(2 3 4)(5 6 7 8 9)", "(2 3 4)(5 6 7 9 8)")
+    assert a.cycle_type() == b.cycle_type() == (5, 3, 1, 1)
+    assert rep.class_count == 18 and rep.merged_rank == 17
+
+
+def test_fusion_to_the_table_cap_builds_no_group(monkeypatch, built_orders):
+    def refuse(*args):
+        raise AssertionError("a group was closed")
+
+    monkeypatch.setattr(perms, "close_generators", refuse)
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "1")
+    reports = [non_splitting_witness_alternating(n) for n in range(5, 21)]
+    assert built_orders == []
+    # class numbers of Alt(4) .. Alt(19), OEIS A000702
+    assert [r.class_count for r in reports] == [
+        4, 5, 7, 9, 14, 18, 24, 31, 43, 55, 72, 94, 123, 156, 200, 254
+    ]
+    # fusion at n = 5, 7 and every n >= 9
+    assert [len(r.pairs) for r in reports] == [1, 0, 1, 0, 1, 1, 1, 1, 1, 2, 1, 2, 2, 3, 2, 3]
+    for r in reports:
+        for a, b in r.pairs:
+            assert a < b and a(r.n) == b(r.n) == r.n
+            assert a.is_even() and a.cycle_type() == b.cycle_type()
+            assert a.cycle_type()[-2:] == (1, 1)
+
+
+def test_fusion_certificate_rejects_tampering(monkeypatch):
+    [(a, b)] = non_splitting_witness_alternating(5).pairs
+    x, y, mu = a.images, b.images, (3, 1)
+    s = (5, 2, 4, 3, 1)  # (3 4)(1 5), even, carries x to y
+    _certify_fusion(mu, x, y, s)
+    bad = [
+        (x, y, (1, 2, 4, 3, 5)),  # the odd (3 4) alone
+        (x, y, (1, 2, 3, 4, 5)),  # even, but does not carry x to y
+        (x, x, (1, 2, 3, 4, 5)),  # one half twice
+        (x, y, (2, 1, 4, 3, 5)),  # even, carries x elsewhere
+    ]
+    for xx, yy, ss in bad:
+        with pytest.raises(MathCheckError):
+            _certify_fusion(mu, xx, yy, ss)
+    # a parity key that no longer separates the halves fails the report
+    monkeypatch.setattr(splitting, "_alternating_class_key", lambda p: p.cycle_type())
+    with pytest.raises(MathCheckError):
+        non_splitting_witness_alternating(5)
 
 
 def test_fusion_witness_range_rejected():
     with pytest.raises(UsageError):
         non_splitting_witness_alternating(4)
-    with pytest.raises(UsageError):
-        non_splitting_witness_alternating(9)
+    with pytest.raises(UnsupportedGroupError):
+        non_splitting_witness_alternating(21)
 
 
 def test_embedded_alternating_structure():
