@@ -333,9 +333,10 @@ def non_splitting_witness_alternating(n: int) -> AlternatingFusionReport:
 
     An even type mu of n - 1 is one Alt(n-1)-class, or two halves when mu
     has distinct odd parts (James and Kerber, The Representation Theory of
-    the Symmetric Group, 1981, section 1.2).  The halves fuse in Alt(n) exactly when
-    mu also has a part 1, since mu plus the fixed point n then no longer
-    has distinct parts.  Each pair is certified by `_fusion_witness`.
+    the Symmetric Group, 1981, section 1.2).  The halves fuse in Alt(n)
+    exactly when mu also has a part 1, since mu plus the fixed point n then
+    no longer has distinct parts.  Each pair is certified by
+    `_fusion_witness`.
     """
     if n < 5:
         raise UsageError("the fusion search needs n >= 5")
@@ -365,14 +366,13 @@ def _fusion_witness(n: int, mu) -> tuple[Perm, Perm]:
     lies in the other half, and the even s = t (1 n) carries x to y since x
     fixes both 1 and n.
     """
-    m = n - 1
     images = []
     for part in reversed(mu):
         start = len(images) + 1
         images += range(start + 1, start + part)
         images.append(start)
     x = tuple(images) + (n,)
-    t = tuple(range(1, m - 1)) + (m, m - 1, n)
+    t = tuple(range(1, n - 2)) + (n - 1, n - 2, n)
     y = _conjugator(t)(x)
     s = tuple(t[j - 1] for j in (n,) + tuple(range(2, n)) + (1,))
     _certify_fusion(mu, x, y, s)
