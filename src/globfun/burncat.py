@@ -134,6 +134,20 @@ def _least_conjugate(h: PermGroup, target: PermGroup):
     return PermGroup.from_elements(target.degree, skey), skey, conjs
 
 
+def _least_conjugates(target: PermGroup):
+    """`_least_conjugate(h, target)` as a function of h, computed once per
+    subgroup: composites and products meet the same subgroups many times."""
+    memo = {}
+
+    def part_of(h: PermGroup):
+        key = h.image_set
+        if key not in memo:
+            memo[key] = _least_conjugate(h, target)
+        return memo[key]
+
+    return part_of
+
+
 def morphism_basis(source: PermGroup, target: PermGroup):
     """All pair classes (H <= target, alpha: H -> source), sorted by key."""
     lat = subgroup_classes(target)
@@ -211,12 +225,14 @@ class BurnsideCatMorphism:
     def __hash__(self):
         raise TypeError("unhashable")
 
-    def compose(self, first: "BurnsideCatMorphism") -> "BurnsideCatMorphism":
-        """self o first, rewriting restriction-past-transfer double cosets."""
+    def compose(self, first: "BurnsideCatMorphism", part_of=None) -> "BurnsideCatMorphism":
+        """self o first, rewriting restriction-past-transfer double cosets;
+        `part_of` is a `_least_conjugates(self.target)` to share."""
         if first.target != self.source:
             raise UsageError("morphisms not composable")
         mid = self.source
         out = BurnsideCatMorphism(first.source, self.target)
+        part_of = part_of or _least_conjugates(self.target)
         for key_j in sorted(self.terms):
             jpair, jcoeff = self.terms[key_j]
             beta = jpair.hom
@@ -230,7 +246,8 @@ class BurnsideCatMorphism:
                     low = beta.preimage(moved)
                     images = [alpha(yinv * beta(x) * y) for x in low.generators]
                     gamma = GroupHom(low, first.source, images)
-                    out._add(canonical_pair(low, gamma, self.target), jcoeff * hcoeff)
+                    out._add(canonical_pair(low, gamma, self.target, part_of(low)),
+                             jcoeff * hcoeff)
         return out
 
     def action_on(self, f: GlobalFunctor) -> ZMap:
@@ -305,8 +322,9 @@ class RepresentedFunctor(GlobalFunctor):
 
     def _composition_matrix(self, m: BurnsideCatMorphism, src, dst):
         """The matrix of composing with m, from the basis at src to the one at dst."""
+        part_of = _least_conjugates(dst)
         cols = [
-            self._coords(m.compose(self._as_morphism(src, unit)), dst)
+            self._coords(m.compose(self._as_morphism(src, unit), part_of), dst)
             for unit in identity_matrix(len(self.basis(src)))
         ]
         return [list(row) for row in zip(*cols)] if cols else [[] for _ in self.basis(dst)]
@@ -432,11 +450,12 @@ def product_section(g: PermGroup, section: SectionReport) -> "ProductSectionRepo
     big_inc = GroupHom.from_callable(big_prev, big_cur, _on_second_factor(d, inc.table))
 
     paired = BurnsideCatMorphism(big_prev, big_cur)
+    part_of = _least_conjugates(big_cur)
     for key in sorted(section.sigma.terms):
         pair, coeff = section.sigma.terms[key]
         sub = product_group(g, pair.subgroup)
         alpha = GroupHom.from_callable(sub, big_prev, _on_second_factor(d, pair.hom.table))
-        paired._add(canonical_pair(sub, alpha, big_cur), coeff)
+        paired._add(canonical_pair(sub, alpha, big_cur, part_of(sub)), coeff)
 
     burnside = BurnsideFunctor()
     act = paired.action_on(burnside)

@@ -1,13 +1,15 @@
 """On-disk JSON cache for computed tables.
 
-One file per (artifact, key).  Every file carries a schema_version field;
-entries written under a different version are treated as absent, so bumping
-SCHEMA_VERSION invalidates the whole cache at once.  Writes go through a
-temporary file and an atomic replace, a half-written entry is never read
-back.
+One file per (artifact, key), named `<artifact>-<key>.json` with the key
+spelled as the hex of its UTF-8 bytes.  Keys are short group names, so the
+name is collision-free and reversible, and no hash is needed: `hashlib`
+would load OpenSSL into every CLI process.  Every file carries a
+schema_version field; entries written under a different version are
+treated as absent, so bumping SCHEMA_VERSION invalidates the whole cache at
+once.  Writes go through a temporary file and an atomic replace, a
+half-written entry is never read back.
 """
 
-import hashlib
 import json
 import sys
 from pathlib import Path
@@ -33,8 +35,7 @@ class Cache:
             print(f"warning: caching disabled, {exc}", file=sys.stderr)
 
     def _path(self, artifact: str, key: str) -> Path:
-        digest = hashlib.sha256(key.encode()).hexdigest()[:16]
-        return self.root / f"{artifact}-{digest}.json"
+        return self.root / f"{artifact}-{key.encode().hex()}.json"
 
     def get(self, artifact: str, key: str):
         """The stored payload, or None on miss, version skew, or bad file."""

@@ -66,11 +66,6 @@ def partitions(n: int) -> tuple[Partition, ...]:
     return tuple(gen(n, n))
 
 
-@cache
-def partition_count(n: int) -> int:
-    return len(partitions(n))
-
-
 def cycle_type_class_size(mu: Partition) -> int:
     """Number of permutations of Sym(sum mu) with cycle type mu: n!/z_mu."""
     n = sum(mu)

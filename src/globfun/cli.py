@@ -205,6 +205,11 @@ def _cmd_fusion(cache, args):
 
 def _cmd_char_table(cache, args):
     key = f"S{args.n}"
+    # n is checked before the cache lookup, as in _cmd_marks, so a stored
+    # entry cannot answer an n that a cold run refuses
+    if args.n < 0:
+        raise UsageError("n must be >= 0")
+    _check_moved_degree(args.n)
     payload = cache.get("char-table", key)
     if payload is None:
         table = char_table_symmetric(args.n)

@@ -207,7 +207,3 @@ def det_exact(a) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def is_unimodular(a) -> bool:
-    return len(a) == (len(a[0]) if a else 0) and abs(det_exact(a)) == 1

@@ -537,44 +537,25 @@ def trivial_subgroup(g: PermGroup) -> PermGroup:
 class GroupHom:
     """A homomorphism between enumerated groups, given by generator images.
 
-    The constructor extends the images over the Cayley graph of the source
-    in one breadth-first pass on image tuples.  Every edge x -> x g is
-    checked against f(x g) = f(x) f(g), which forces full multiplicativity
-    by induction on word length, so that pass is also the homomorphism
-    check.  The total map is kept as `table`, from the source's `image_set`
-    tuples (no source `Perm` is built) to one shared value tuple per distinct
-    image: restriction matrices, images and preimages all read it.
+    Its total map is `table`, built and checked by `_hom_table` (`all_homs`
+    passes in one it built): restriction matrices, images and preimages all
+    read it.
     """
 
     __slots__ = ("source", "target", "gen_images", "table")
 
-    def __init__(self, source: PermGroup, target: PermGroup, images):
-        gens = source.generators
-        if len(images) != len(gens):
-            raise UsageError("one image per generator required")
-        for v in images:
-            if v not in target:
-                raise NotAHomomorphismError(f"image {v} outside target")
-        edges = [(g, _right_mul(g.images), _right_mul(fg.images)) for g, fg in zip(gens, images)]
-        ident = tuple(range(1, source.degree + 1))
-        tmap = {ident: tuple(range(1, target.degree + 1))}
-        queue = [ident]
-        for x in queue:  # grows while it is read: breadth-first order
-            fx = tmap[x]
-            for g, mul, fmul in edges:
-                y = mul(x)
-                fy = fmul(fx)
-                old = tmap.get(y)
-                if old is None:
-                    tmap[y] = fy
-                    queue.append(y)
-                elif old != fy:
-                    raise NotAHomomorphismError(f"fails at {Perm._from_images(x)} * {g}")
-        values = {t: t for t in tmap.values()}  # one shared tuple per distinct image
+    def __init__(self, source: PermGroup, target: PermGroup, images, _table=None):
+        if _table is None:
+            if len(images) != len(source.generators):
+                raise UsageError("one image per generator required")
+            for v in images:
+                if v not in target:
+                    raise NotAHomomorphismError(f"image {v} outside target")
+            _table = _hom_table(source, target, images, strict=True)
         self.source = source
         self.target = target
         self.gen_images = tuple(images)
-        self.table = {x: values[tmap[x]] for x in source.image_set}
+        self.table = _table
 
     @staticmethod
     def from_callable(source, target, fn) -> "GroupHom":
@@ -673,11 +654,6 @@ def standard_inclusion(n: int) -> GroupHom:
     return GroupHom.from_callable(src, tgt, lambda x: x + tail)
 
 
-def fixed_last_point_copy(n: int) -> PermGroup:
-    """Sym(n-1) realized inside Sym(n) as the stabilizer of the point n."""
-    return young_subgroup(n, [range(1, n)])
-
-
 def all_homs(source: PermGroup, target: PermGroup) -> list[GroupHom]:
     """Every homomorphism source -> target, by brute force over generator images.
 
@@ -689,11 +665,43 @@ def all_homs(source: PermGroup, target: PermGroup) -> list[GroupHom]:
     cands = [[v for v, k in orders if m % k == 0] for m in map(_element_order, source.generators)]
     out = []
     for images in product(*cands):
-        try:
-            out.append(GroupHom(source, target, images))
-        except NotAHomomorphismError:
-            pass
+        table = _hom_table(source, target, images)
+        if table is not None:
+            out.append(GroupHom(source, target, images, table))
     return out
+
+
+def _hom_table(source: PermGroup, target: PermGroup, images, strict=False):
+    """The map from the source's `image_set` tuples (no source `Perm` is
+    built) to one shared value tuple per distinct image, of the
+    homomorphism sending the generators to `images`; None when there is
+    none, or with `strict` NotAHomomorphismError naming the failing edge.
+
+    The images are extended over the Cayley graph in one breadth-first pass
+    on image tuples.  Every edge x -> x g is checked against
+    f(x g) = f(x) f(g), which forces full multiplicativity by induction on
+    word length, so that pass is also the homomorphism check.
+    """
+    edges = [(g, _right_mul(g.images), _right_mul(fg.images))
+             for g, fg in zip(source.generators, images)]
+    ident = tuple(range(1, source.degree + 1))
+    tmap = {ident: tuple(range(1, target.degree + 1))}
+    queue = [ident]
+    for x in queue:  # grows while it is read: breadth-first order
+        fx = tmap[x]
+        for g, mul, fmul in edges:
+            y = mul(x)
+            fy = fmul(fx)
+            old = tmap.get(y)
+            if old is None:
+                tmap[y] = fy
+                queue.append(y)
+            elif old != fy:
+                if strict:
+                    raise NotAHomomorphismError(f"fails at {Perm._from_images(x)} * {g}")
+                return None
+    values = {t: t for t in tmap.values()}  # one shared tuple per distinct image
+    return {x: values[tmap[x]] for x in source.image_set}
 
 
 def _element_order(p: Perm) -> int:

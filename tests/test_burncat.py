@@ -193,6 +193,57 @@ def test_morphism_basis_finds_each_normalizer_once(monkeypatch):
         assert alone.key == pair.key and alone.label() == pair.label()
 
 
+def _composites_and_product_section():
+    """A function that forms the composites behind one restriction matrix
+    of the functor Sym(2) represents, and one product section; the bases
+    and the section it reads are built first."""
+    rep = RepresentedFunctor(S[2])
+    rep.basis(S[2]), rep.basis(S[3])
+    star = BurnsideCatMorphism.restriction(standard_inclusion(3))
+    section = section_of_restriction(3)
+
+    def run():
+        rep._composition_matrix(star, S[3], S[2])
+        product_section(S[2], section)
+
+    return run
+
+
+def test_shared_subgroup_halves_match_canonical_pair_alone(monkeypatch):
+    # compose and product_section pass canonical_pair a subgroup half that
+    # they share between pairs; each pair is the one canonical_pair finds
+    # on its own
+    shared = []
+    canonical = burncat.canonical_pair
+
+    def checked(h, alpha, target, part=None):
+        pair = canonical(h, alpha, target, part)
+        if part is not None:
+            shared.append(h.image_set)
+            alone = canonical(h, alpha, target)
+            assert alone.key == pair.key and alone.label() == pair.label()
+        return pair
+
+    run = _composites_and_product_section()
+    monkeypatch.setattr(burncat, "canonical_pair", checked)
+    run()
+    assert len(shared) > len(set(shared))
+
+
+def test_composites_find_each_subgroup_half_once(monkeypatch):
+    halves = []
+    least = burncat._least_conjugate
+
+    def counting(h, target):
+        halves.append((h.image_set, target.image_set))
+        return least(h, target)
+
+    run = _composites_and_product_section()
+    monkeypatch.setattr(burncat, "_least_conjugate", counting)
+    run()
+    assert halves and len(halves) == len(set(halves))
+
+
 def test_identity_law():
     for k, g in ((2, 3), (3, 2), (1, 4)):
         ident_g = BurnsideCatMorphism.identity(S[g])

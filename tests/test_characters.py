@@ -24,7 +24,6 @@ from globfun.characters import (
     induce_classfunction,
     inner_product,
     mn_character,
-    partition_count,
     partitions,
     restrict_classfunction,
 )
@@ -42,6 +41,10 @@ from globfun.perms import (
     young_two_block,
 )
 from globfun.repring import RepRingFunctor
+
+
+def partition_count(n: int) -> int:
+    return len(partitions(n))
 
 
 def hook_length_degree(lam):

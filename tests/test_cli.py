@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 
 from globfun import cli, perms
 from globfun.burnside import BurnsideFunctor
+from globfun.cache import Cache
 from globfun.functors import CorruptedTransfer
 from globfun.perms import PermGroup, symmetric_group, young_two_block
 
@@ -202,7 +205,9 @@ def test_lattice_cap_refuses_spec_before_any_group_is_built(capsys, monkeypatch,
         assert built
 
 
-ORACLE = Path(__file__).resolve().parent.parent / "perfbench" / "oracle.json"
+ROOT = Path(__file__).resolve().parent.parent
+ORACLE = ROOT / "perfbench" / "oracle.json"
+SRC = ROOT / "src"
 
 
 def test_json_matches_benchmark_oracle(capsys):
@@ -306,6 +311,63 @@ def test_warm_marks_builds_no_group(capsys, tmp_path, built_orders):
     assert code == 0
     assert warm == cold
     assert built_orders == []
+
+
+def test_cache_file_name_spells_its_key(capsys, tmp_path):
+    for argv, artifact, key in (
+        (("char-table", "--n", "5"), "char-table", "S5"),
+        (("marks", "--group", "S2xS2"), "marks", "S2xS2"),
+    ):
+        assert run(capsys, "--cache-dir", str(tmp_path), *argv)[0] == 0
+        [path] = tmp_path.glob(f"{artifact}-*.json")
+        assert bytes.fromhex(path.stem[len(artifact) + 1:]).decode() == key
+        assert json.loads(path.read_text())["key"] == key
+
+
+def test_cache_entry_stored_under_another_key_is_a_miss(tmp_path):
+    cache = Cache(tmp_path)
+    cache.put("marks", "S3", {"classes": 4})
+    assert cache.get("marks", "S3") == {"classes": 4}
+    path = cache._path("marks", "S3")
+    stored = json.loads(path.read_text())
+    stored["key"] = "S4"
+    path.write_text(json.dumps(stored))
+    assert cache.get("marks", "S3") is None
+
+
+@pytest.mark.parametrize("n,message", [
+    ("21", "table for moved degree 21 exceeds cap 20"),
+    ("-1", "n must be >= 0"),
+])
+def test_planted_char_table_entry_cannot_answer_a_refused_n(capsys, tmp_path, n, message):
+    # a stored entry under the key of an n that a cold run refuses is never read
+    code, out, _ = run(capsys, "--no-cache", "--output", "json", "char-table", "--n", "3")
+    assert code == 0
+    Cache(tmp_path).put("char-table", f"S{n}", json.loads(out))
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "char-table", "--n", n)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_cli_never_loads_hashlib(tmp_path):
+    """hashlib loads OpenSSL's libcrypto, which raised every CLI process's
+    peak RSS by about 3.6 MiB; the nine benchmark commands, cold and then
+    warm from the cache, run in one fresh interpreter that must never
+    import it.  -S keeps the host's site hooks out of the check."""
+    commands = sorted(json.loads(ORACLE.read_text()))
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {str(SRC)!r})",
+        "from globfun import cli",
+        f"for command in {commands!r} * 2:",
+        f"    assert cli.main(['--cache-dir', {str(tmp_path)!r}, '--output', 'json',"
+        " *command.split()]) == 0, command",
+        "loaded = sorted({'hashlib', '_hashlib'} & set(sys.modules))",
+        "assert not loaded, loaded",
+    ])
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(tmp_path.glob("*.json"))) == 2  # char-table S8 and marks A5
 
 
 def test_ru_split_reads_the_tower(capsys, built_orders):

@@ -27,16 +27,21 @@ from globfun.perms import (
     Perm,
     PermGroup,
     conjugate_subgroup,
-    fixed_last_point_copy,
     restrict_to_block,
     standard_inclusion,
     symmetric_group,
     trivial_subgroup,
+    young_subgroup,
     young_two_block,
 )
 from globfun import subgroups
 from globfun.repring import RepRingFunctor
 from globfun.subgroups import subgroup_classes
+
+
+def fixed_last_point_copy(n: int) -> PermGroup:
+    """Sym(n-1) realized inside Sym(n) as the stabilizer of the point n."""
+    return young_subgroup(n, [range(1, n)])
 
 
 def test_free_abelian_labels_distinct():

@@ -15,7 +15,6 @@ from globfun.linalg import (
     hermite_normal_form,
     identity_matrix,
     integer_kernel,
-    is_unimodular,
     mat_eq,
     mat_mul,
     mat_vec,
@@ -23,6 +22,10 @@ from globfun.linalg import (
     solve_exact,
     transpose,
 )
+
+
+def is_unimodular(a) -> bool:
+    return len(a) == (len(a[0]) if a else 0) and abs(det_exact(a)) == 1
 
 
 def random_matrix(rng, rows, cols, bound=6):

@@ -6,6 +6,7 @@ double coset counts and fusion data all come from that run.
 """
 
 import random
+from itertools import product
 from math import factorial
 
 import pytest
@@ -23,12 +24,12 @@ from globfun.perms import (
     GroupHom,
     Perm,
     PermGroup,
+    all_homs,
     alternating_group,
     centralizer,
     close_generators,
     conjugate_subgroup,
     double_cosets,
-    fixed_last_point_copy,
     fused_pairs,
     intersection,
     left_coset_reps,
@@ -44,6 +45,11 @@ from globfun.perms import (
     _orbits,
 )
 from globfun.repring import RepRingFunctor
+
+
+def fixed_last_point_copy(n: int) -> PermGroup:
+    """Sym(n-1) realized inside Sym(n) as the stabilizer of the point n."""
+    return young_subgroup(n, [range(1, n)])
 
 
 def test_perm_parse_roundtrip():
@@ -716,6 +722,32 @@ def test_all_homs_counts():
     assert len(all_homs_count(s3, s2)) == 2
     c3 = PermGroup(3, [Perm.parse("(1 2 3)", 3)])
     assert len(all_homs_count(c3, s3)) == 3
+
+
+def test_all_homs_skips_candidates_without_formatting_them(monkeypatch):
+    # every candidate the constructor accepts, and no rejection message
+    # built on the way; the constructor alone still names the failing edge
+    s3, s4 = symmetric_group(3), symmetric_group(4)
+    want = []
+    for images in product(s4.elements, repeat=len(s3.generators)):
+        try:
+            want.append(GroupHom(s3, s4, images))
+        except NotAHomomorphismError:
+            pass
+    want.sort(key=lambda h: [v.images for v in h.gen_images])
+
+    def refuse(self):
+        raise AssertionError("a Perm was formatted")
+
+    monkeypatch.setattr(Perm, "__str__", refuse)
+    got = all_homs(s3, s4)
+    monkeypatch.undo()
+    assert [(h.gen_images, h.table) for h in got] == [(h.gen_images, h.table) for h in want]
+    # the trivial map, one through the sign per involution of Sym(4), and
+    # |Aut(Sym(3))| = 6 onto each of its 4 subgroups Sym(3)
+    assert len(got) == 1 + 9 + 4 * 6
+    with pytest.raises(NotAHomomorphismError, match=r"^fails at \(1 2\) \* \(1 2\)$"):
+        GroupHom(s3, s4, [Perm.parse("(1 2 3)", 4)] * len(s3.generators))
 
 
 def all_homs_count(a, b):
