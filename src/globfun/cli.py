@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from itertools import chain
 
@@ -19,7 +20,7 @@ from .cache import Cache
 from .characters import _check_moved_degree, char_table_symmetric
 from .errors import GlobfunError, MathCheckError, NonIntegralError, UsageError, _cap
 from .functors import standard_probe, verify_axioms
-from .perms import _check_order_factors, _read_group_spec, parse_group_spec, symmetric_group
+from .perms import _check_order_factors, _read_group_spec, parse_group_spec
 from .repring import RepRingFunctor
 from .splitting import (
     decompose,
@@ -67,20 +68,22 @@ def _functor(name: str):
 
 
 def _cmd_marks(cache, args):
-    key = args.group.strip()
+    spec = args.group.strip()
     # caps are checked before the cache lookup, so warm and cold runs agree;
-    # the group itself is built only on a miss
-    _check_spec(args.group, True)
+    # the group itself is built only on a miss.  The key drops each size's
+    # leading zeros, so every spelling of a group shares one short entry
+    _check_spec(spec, True)
+    key = re.sub(r"(?<!\d)0+(?=\d)", "", spec)
     payload = cache.get("marks", key)
     if payload is None:
-        lat, marks = table_of_marks(parse_group_spec(args.group))
+        lat, marks = table_of_marks(parse_group_spec(spec))
         payload = {
-            "group": key,
             "classes": [c.label() for c in lat.classes],
             "orders": [c.order for c in lat.classes],
             "matrix": [list(row) for row in marks],
         }
         cache.put("marks", key, payload)
+    payload["group"] = spec
     width = max(len(str(v)) for row in payload["matrix"] for v in row)
     lines = [f"table of marks for {payload['group']} ({len(payload['classes'])} classes)"]
     for label, row in zip(payload["classes"], payload["matrix"]):
@@ -133,7 +136,7 @@ def _cmd_decompose(cache, args):
     _check_order(range(2, args.n + 1), args.functor == "burnside")
     _check_table(args.functor, args.n)
     f = _functor(args.functor)
-    rank = f.value(symmetric_group(args.n)).rank
+    rank = f.tower_value(args.n).rank
     if args.element is not None:
         try:
             x = json.loads(args.element)

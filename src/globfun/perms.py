@@ -25,6 +25,11 @@ conjugacy classes, double cosets, the conjugates of a subgroup, Burnside
 restriction) is one call of `_orbits` with one map per generator; left
 cosets are acted on through their least member (`_coset_moves`).
 
+Closure is one algorithm, Dimino's coset join `_join` (Butler, Fundamental
+Algorithms for Permutation Groups, ch. 7): `close_generators`, the
+generating set of `from_elements` and the subgroup lattice's joins all
+grow a group one right coset at a time.
+
 Identity: a group is its `image_set`, the frozenset of its elements' image
 tuples, which equality, hashing and every memo key read; a homomorphism is
 its `table`, image tuple -> image tuple.
@@ -243,28 +248,21 @@ def _join(hset, gens, bound):
 def close_generators(degree, generators):
     """The frozenset of image tuples of the group the generators generate.
 
-    Closes one breadth-first layer per step: each generator's right
-    multiplication maps the whole frontier at C level.  Raises
-    CapExceededError once more elements are found than the group cap
-    allows, checked after each layer.
+    Folds `_join` over the generators, skipping any already in the group,
+    so the group grows one coset at a time.  Raises CapExceededError once
+    more elements are found than the group cap allows.
     """
     gens = list(generators)
     for g in gens:
         if g.degree != degree:
             raise UsageError(f"generator degree {g.degree} != {degree}")
     cap = _cap("group order")
-    muls = [_right_mul(g.images) for g in gens]
-    frontier = found = {tuple(range(1, degree + 1))}
-    while frontier:
-        new = set()
-        for mul in muls:
-            new.update(map(mul, frontier))
-        new = new - found  # iterates new, where new -= found would iterate found
-        found |= new
-        if len(found) > cap:
-            raise CapExceededError("group order", cap)
-        frontier = new
-    return frozenset(found)
+    found, joined = frozenset([tuple(range(1, degree + 1))]), []
+    for g in gens:
+        if g.images not in found:
+            joined.append(g.images)
+            found = _join(found, joined, cap)
+    return found
 
 
 class PermGroup:
@@ -423,9 +421,10 @@ def symmetric_group(n: int) -> PermGroup:
     _check_order_factors(range(2, n + 1), "group order")
     if n <= 1:
         return PermGroup(1, [], name=f"S{max(n, 1)}")
-    gens = [Perm.from_cycles(n, [(1, 2)])]
+    # the long cycle first: the join is cheapest when its first subgroup is largest
+    gens = [Perm.from_cycles(n, [tuple(range(1, n + 1))])]
     if n > 2:
-        gens.append(Perm.from_cycles(n, [tuple(range(1, n + 1))]))
+        gens.append(Perm.from_cycles(n, [(1, 2)]))
     return PermGroup(n, gens, name=f"S{n}")
 
 
@@ -436,12 +435,10 @@ def alternating_group(n: int) -> PermGroup:
     _check_order_factors(range(3, n + 1), "group order")
     if n <= 2:
         return PermGroup(max(n, 1), [], name=f"A{max(n, 1)}")
-    if n == 3:
-        gens = [Perm.from_cycles(3, [(1, 2, 3)])]
-    elif n % 2 == 1:
-        gens = [Perm.from_cycles(n, [(1, 2, 3)]), Perm.from_cycles(n, [tuple(range(1, n + 1))])]
-    else:
-        gens = [Perm.from_cycles(n, [(1, 2, 3)]), Perm.from_cycles(n, [tuple(range(2, n + 1))])]
+    # the longest odd cycle first, as in symmetric_group: on 1..n or on 2..n
+    gens = [Perm.from_cycles(n, [tuple(range(2 - n % 2, n + 1))])]
+    if n > 3:
+        gens.append(Perm.from_cycles(n, [(1, 2, 3)]))
     return PermGroup(n, gens, name=f"A{n}")
 
 

@@ -46,7 +46,6 @@ from .perms import (
     all_homs,
     alternating_group,
     standard_inclusion,
-    symmetric_group,
     young_two_block,
 )
 
@@ -242,7 +241,7 @@ def decompose(f: GlobalFunctor, n: int, x):
     would contradict the splitting, so it raises.
     """
     x = tuple(int(v) for v in x)
-    if len(x) != f.value(symmetric_group(n)).rank:
+    if len(x) != f.tower_value(n).rank:
         raise UsageError("vector length does not match the functor value rank")
     if n == 0:
         return (x,)
@@ -269,7 +268,7 @@ def reassemble(f: GlobalFunctor, n: int, components):
     components = tuple(tuple(c) for c in components)
     if len(components) != n + 1:
         raise UsageError(f"expected {n + 1} components, got {len(components)}")
-    total = [0] * f.value(symmetric_group(n)).rank
+    total = [0] * f.tower_value(n).rank
     for k, part in enumerate(components):
         image = psi(f, k, n).apply(part)
         total = [a + b for a, b in zip(total, image)]

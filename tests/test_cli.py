@@ -324,6 +324,21 @@ def test_cache_file_name_spells_its_key(capsys, tmp_path):
         assert json.loads(path.read_text())["key"] == key
 
 
+def test_marks_key_drops_leading_zeros(capsys, tmp_path):
+    long_spec = "S" + "0" * 200 + "3"
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "marks", "--group", long_spec)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"table of marks for {long_spec} (4 classes)")
+    [path] = tmp_path.glob("marks-*.json")
+    assert bytes.fromhex(path.stem[len("marks-"):]).decode() == "S3"
+    # every spelling shares that entry and prints its own spec, warm or cold
+    for spec in ("S03", "S3", "S0003"):
+        warm = run(capsys, "--cache-dir", str(tmp_path), "--output", "json", "marks", "--group", spec)
+        cold = run(capsys, "--no-cache", "--output", "json", "marks", "--group", spec)
+        assert warm == cold and json.loads(warm[1])["group"] == spec
+    assert len(list(tmp_path.iterdir())) == 1
+
+
 def test_cache_entry_stored_under_another_key_is_a_miss(tmp_path):
     cache = Cache(tmp_path)
     cache.put("marks", "S3", {"classes": 4})

@@ -6,6 +6,7 @@ two free points, and the projection example's stabilizer is e x Sym(2).
 """
 
 import random
+from itertools import product
 
 import pytest
 
@@ -264,6 +265,52 @@ def test_corrupted_transfer_fails_mackey():
     assert any(c.relation == "R5" and not c.passed for c in report.checks)
     first = next(c for c in report.checks if c.relation == "R5" and not c.passed)
     assert "entry" in first.detail
+
+
+def conjugate_young_probe(seed=9, count=3):
+    """A probe on Sym(4) and its Young subgroups Y conjugated by seeded
+    random elements t, so that tYt^-1 has blocks that are not runs of
+    consecutive points: inclusions, conjugation isomorphisms between the
+    conjugates of one Y, block projections, chains L <= Y < Sym(4)
+    conjugated by one t, and Mackey triples of two conjugates."""
+    rng = random.Random(seed)
+    g = symmetric_group(4)
+    ts = [rng.choice(g.elements) for _ in range(count)]
+    blocks = ([range(1, 4)], [range(1, 3), range(3, 5)], [range(1, 3)], [])
+    youngs = [young_subgroup(4, b) for b in blocks]
+    conj = {(y, t): conjugate_subgroup(y, t) for y in youngs for t in ts}
+    groups = [g] + list({h.image_set: h for h in conj.values()}.values())
+
+    homs = [GroupHom.identity(h) for h in groups]
+    homs += [GroupHom.inclusion(h, g) for h in groups[1:]]
+    for y in youngs:
+        for s, t in product(ts, repeat=2):
+            homs.append(GroupHom.conjugation(conj[y, s], conj[y, t], t * s.inverse()))
+    for h in groups[1:]:
+        if len(h.orbits()) > 1:
+            homs += [restrict_to_block(h, orbit) for orbit in h.orbits()]
+
+    chains = [(conj[low, t], conj[high, t], g) for low, high in product(youngs, repeat=2)
+              if low.order < high.order and low <= high for t in ts]
+    surjections = [(q, b) for q in homs if q.source != q.target and q.is_surjective_onto_target()
+                   for b in groups if b.degree == q.target.degree and b <= q.target]
+    mackey_triples = [(k, h, g) for k, h in product(groups[1:], repeat=2)]
+    return AxiomProbe(groups, homs, chains, surjections, mackey_triples)
+
+
+def test_axioms_pass_on_random_conjugate_young_subgroups():
+    probe = conjugate_young_probe()
+    # some block is not a run of consecutive points
+    assert any(max(b) - min(b) >= len(b) for h in probe.groups for b in h.orbits())
+    assert probe.chains and probe.surjections
+    for F in (BurnsideFunctor(), RepRingFunctor()):
+        report = verify_axioms(F, probe)
+        assert report.all_passed, report.failures()[:3]
+        assert {c.relation for c in report.checks} == {"R1", "R2", "R3", "R4", "R5"}
+    # the transfer into Sym(4) from a conjugate of S2 x e x e, corrupted
+    s2 = next(h for h in probe.groups if h.order == 2 and h.orbits()[0] != (1, 2))
+    bad = verify_axioms(CorruptedTransfer(BurnsideFunctor(), s2, probe.groups[0]), probe)
+    assert any(c.relation == "R5" and not c.passed for c in bad.checks)
 
 
 def test_report_serialization():

@@ -129,24 +129,18 @@ def test_close_generators_cap(monkeypatch):
 
 
 def reference_close(degree, generators, cap):
-    """Breadth-first closure by Perm multiplication, the oracle for
-    close_generators, which runs the same search on raw image tuples."""
-    gens = list(generators)
-    ident = Perm.identity(degree)
-    found = {ident}
-    frontier = [ident]
+    """Breadth-first closure, one layer at a time, on raw image tuples with
+    its own product (x * g)(i) = x(g(i)) and no package code: the oracle for
+    close_generators, which joins cosets instead."""
+    gens = [g.images for g in generators]
+    frontier = found = {tuple(range(1, degree + 1))}
     while frontier:
-        new = []
-        for x in frontier:
-            for g in gens:
-                y = g * x
-                if y not in found:
-                    found.add(y)
-                    new.append(y)
-                    if len(found) > cap:
-                        raise CapExceededError("group order", cap)
+        new = {tuple(x[j - 1] for j in g) for x in frontier for g in gens} - found
+        found = found | new
+        if len(found) > cap:
+            raise CapExceededError("group order", cap)
         frontier = new
-    return sorted(found)
+    return frozenset(found)
 
 
 @st.composite
@@ -162,14 +156,13 @@ def test_close_generators_matches_reference(case):
     degree, gens = case
     want = reference_close(degree, gens, cap=5040)
     got = close_generators(degree, gens)
-    assert type(got) is frozenset and got == {p.images for p in want}
+    assert type(got) is frozenset and got == want
     # the group's elements are the closure's tuples as sorted Perms
     elements = PermGroup(degree, gens).elements
-    assert [p.images for p in elements] == [p.images for p in want]
+    assert [p.images for p in elements] == sorted(want)
     for p in elements:
         assert type(p) is Perm and type(p.images) is tuple
         assert p.degree == degree and p._hash == hash(p.images)
-    assert set(elements) == set(want)
     # the cap is the largest order that passes; caps must be positive, so
     # |G| - 1 is tried only when |G| > 1
     with pytest.MonkeyPatch.context() as m:
@@ -179,6 +172,38 @@ def test_close_generators_matches_reference(case):
             m.setenv("GLOBFUN_MAX_GROUP_ORDER", str(len(want) - 1))
             with pytest.raises(CapExceededError):
                 close_generators(degree, gens)
+
+
+def seeded_generator_sets(seed=22):
+    """Per degree 1..7: the empty list, the identity alone and among random
+    generators, a repeated generator, and random sets of one to three."""
+    rng = random.Random(seed)
+    for degree in range(1, 8):
+        e = Perm.identity(degree)
+        draw = lambda: Perm(rng.sample(range(1, degree + 1), degree))
+        g = draw()
+        yield degree, []
+        yield degree, [e]
+        yield degree, [e, draw(), e]
+        yield degree, [g, g, draw(), g]
+        for size in (1, 2, 3):
+            yield degree, [draw() for _ in range(size)]
+
+
+def test_close_generators_matches_breadth_first_on_seeded_sets(monkeypatch):
+    for degree, gens in seeded_generator_sets():
+        want = reference_close(degree, gens, cap=5040)
+        assert close_generators(degree, gens) == want
+        # an order equal to the cap closes; one element more does not
+        monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", str(len(want)))
+        assert close_generators(degree, gens) == want
+        if len(want) > 1:
+            cap = len(want) - 1
+            monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", str(cap))
+            with pytest.raises(CapExceededError) as exc:
+                close_generators(degree, gens)
+            assert (exc.value.what, exc.value.cap) == ("group order", cap)
+        monkeypatch.delenv("GLOBFUN_MAX_GROUP_ORDER")
 
 
 def reference_classes(group):
@@ -335,12 +360,12 @@ def reference_generating_set(degree, sorted_elems):
     """The greedy generating set of from_elements, each step closed again
     from the identity, the oracle for its Dimino joins."""
     gens = []
-    have = {Perm.identity(degree)}
+    have = {Perm.identity(degree).images}
     for x in sorted_elems:
-        if x in have:
+        if x.images in have:
             continue
         gens.append(x)
-        have = set(reference_close(degree, gens, cap=len(sorted_elems)))
+        have = reference_close(degree, gens, cap=len(sorted_elems))
         if len(have) == len(sorted_elems):
             break
     return gens
