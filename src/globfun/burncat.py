@@ -208,11 +208,6 @@ class BurnsideCatMorphism:
             out._add(pair, coeff)
         return out
 
-    def scaled(self, c: int) -> "BurnsideCatMorphism":
-        return BurnsideCatMorphism(
-            self.source, self.target, [(p, c * v) for p, v in self.terms.values()]
-        )
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BurnsideCatMorphism)
@@ -221,9 +216,6 @@ class BurnsideCatMorphism:
             and {k: v for k, (_, v) in self.terms.items()}
             == {k: v for k, (_, v) in other.terms.items()}
         )
-
-    def __hash__(self):
-        raise TypeError("unhashable")
 
     def compose(self, first: "BurnsideCatMorphism", part_of=None) -> "BurnsideCatMorphism":
         """self o first, rewriting restriction-past-transfer double cosets;

@@ -233,9 +233,6 @@ class ClassFunction:
             and self.values == other.values
         )
 
-    def __hash__(self):
-        return hash((id(self.table), self.values))
-
     def __repr__(self) -> str:
         return f"ClassFunction{self.values}"
 

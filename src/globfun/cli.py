@@ -64,6 +64,28 @@ def _functor(name: str):
     raise UsageError(f"unknown functor {name!r}")
 
 
+def _cached_table(cache, artifact: str, key: str, **fields):
+    """The stored payload of a square table, or None on a miss.
+
+    `fields` names each list of a fresh payload with the type of its
+    entries, where a list entry is a list of integers.  A stored payload
+    that has other keys, a field that is not such a list, fields of unequal
+    or zero length n, or a matrix row whose length is not n counts as a
+    miss, so the table is recomputed and the entry rewritten.
+    """
+    payload = cache.get(artifact, key)
+    if not (isinstance(payload, dict) and payload.keys() == fields.keys()
+            and all(isinstance(v, list) for v in payload.values())):
+        return None
+    n = len(payload["matrix"])
+    ok = n > 0 and all(
+        len(payload[field]) == n and all(
+            type(v) is kind and (kind is not list or all(type(x) is int for x in v))
+            for v in payload[field])
+        for field, kind in fields.items())
+    return payload if ok and all(len(row) == n for row in payload["matrix"]) else None
+
+
 # each command handler returns (payload, text_lines, ok)
 
 
@@ -74,7 +96,7 @@ def _cmd_marks(cache, args):
     # leading zeros, so every spelling of a group shares one short entry
     _check_spec(spec, True)
     key = re.sub(r"(?<!\d)0+(?=\d)", "", spec)
-    payload = cache.get("marks", key)
+    payload = _cached_table(cache, "marks", key, classes=str, orders=int, matrix=list)
     if payload is None:
         lat, marks = table_of_marks(parse_group_spec(spec))
         payload = {
@@ -213,17 +235,18 @@ def _cmd_char_table(cache, args):
     if args.n < 0:
         raise UsageError("n must be >= 0")
     _check_moved_degree(args.n)
-    payload = cache.get("char-table", key)
+    payload = _cached_table(cache, "char-table", key,
+                            rows=str, class_types=list, class_sizes=int, matrix=list)
     if payload is None:
         table = char_table_symmetric(args.n)
         payload = {
-            "group": key,
             "rows": [str(label[0]) for label in table.labels],
             "class_types": [list(t[0]) for t in table.class_types],
             "class_sizes": list(table.class_sizes),
             "matrix": [list(row) for row in table.matrix],
         }
         cache.put("char-table", key, payload)
+    payload["group"] = key
     width = max(
         max(len(str(v)) for row in payload["matrix"] for v in row),
         max(len(str(tuple(t))) for t in payload["class_types"]),

@@ -180,9 +180,6 @@ class Perm:
     def __lt__(self, other: "Perm") -> bool:
         return self.images < other.images
 
-    def __le__(self, other: "Perm") -> bool:
-        return self.images <= other.images
-
     def __hash__(self) -> int:
         return self._hash
 

@@ -15,6 +15,7 @@ from globfun.burncat import (
     BurnsideCatMorphism,
     CanonicalPair,
     RepresentedFunctor,
+    SectionReport,
     canonical_pair,
     morphism_basis,
     product_section,
@@ -313,7 +314,8 @@ def test_restriction_after_transfer_doubles_identity():
 
 def test_morphism_algebra():
     m = BurnsideCatMorphism.identity(S[2])
-    assert (m + m.scaled(-1)).terms == {}
+    (pair, coeff), = m.terms.values()
+    assert (m + BurnsideCatMorphism(S[2], S[2], [(pair, -coeff)])).terms == {}
     with pytest.raises(UsageError):
         m.compose(BurnsideCatMorphism.identity(S[3]))
     with pytest.raises(UsageError):
@@ -409,6 +411,26 @@ def test_section_honours_lattice_cap(monkeypatch):
     with pytest.raises(CapExceededError) as exc:
         section_of_restriction(4)
     assert exc.value.cap == 10
+
+
+@pytest.mark.parametrize("name,wrong,message", [
+    ("solve_exact", lambda matrix, rhs: [None], "not onto the identity"),
+    ("reduce_mod_lattice", lambda x, kernel: [2 * v for v in x], "solver produced a non-section"),
+    ("_section_from_splitting", lambda rep, cur: BurnsideCatMorphism(rep.l_group, cur),
+     "splitting route produced a non-section"),
+])
+def test_section_rejects_a_wrong_answer(monkeypatch, name, wrong, message):
+    # no solution, the solver's section doubled, the splitting's section zero
+    monkeypatch.setattr(burncat, name, wrong)
+    with pytest.raises(MathCheckError, match=message):
+        section_of_restriction(2)
+
+
+def test_product_section_rejects_a_non_section():
+    good = section_of_restriction(2)
+    doubled = SectionReport(2, good.sigma + good.sigma, good.sigma_from_splitting, good.basis_size)
+    with pytest.raises(MathCheckError, match="paired section is not a right inverse"):
+        product_section(S[2], doubled)
 
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -350,6 +350,37 @@ def test_cache_entry_stored_under_another_key_is_a_miss(tmp_path):
     assert cache.get("marks", "S3") is None
 
 
+@pytest.mark.parametrize("argv,artifact,key,fields", [
+    (("marks", "--group", "S3"), "marks", "S3", ("classes", "orders", "matrix")),
+    (("char-table", "--n", "3"), "char-table", "S3",
+     ("rows", "class_types", "class_sizes", "matrix")),
+])
+@pytest.mark.parametrize("malformed", ["empty", "not a dict", "ragged", "short row", "wrong type",
+                                       "missing key", "extra key"])
+def test_malformed_cache_entry_is_a_miss(capsys, tmp_path, argv, artifact, key, fields, malformed):
+    # a stored payload is read only when it has the fresh payload's keys,
+    # list values and matching lengths; anything else is recomputed
+    cold = run(capsys, "--no-cache", *argv)
+    assert run(capsys, "--cache-dir", str(tmp_path), *argv) == cold
+    cache = Cache(tmp_path)
+    good = cache.get(artifact, key)
+    assert set(good) == set(fields)
+    bad = {
+        "empty": {f: [] for f in fields},
+        "not a dict": [1, 2],
+        "ragged": {**good, "matrix": good["matrix"][:-1]},
+        "short row": {**good, "matrix": [row[:-1] for row in good["matrix"]]},
+        "wrong type": {**good, "matrix": [[str(v) for v in row] for row in good["matrix"]]},
+        "missing key": {f: good[f] for f in fields[1:]},
+        "extra key": {**good, "extra": []},
+    }[malformed]
+    cache.put(artifact, key, bad)
+    assert run(capsys, "--cache-dir", str(tmp_path), *argv) == cold
+    assert cold[0] == 0 and cold[2] == ""
+    # the entry was rewritten as a cold run writes it
+    assert cache.get(artifact, key) == good
+
+
 @pytest.mark.parametrize("n,message", [
     ("21", "table for moved degree 21 exceeds cap 20"),
     ("-1", "n must be >= 0"),

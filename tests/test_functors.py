@@ -5,13 +5,15 @@ Sym(2) has two subgroup classes, the two-element set Sym(2)/e restricts to
 two free points, and the projection example's stabilizer is e x Sym(2).
 """
 
+import hashlib
 import random
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
 from globfun.burnside import BurnsideFunctor
-from globfun.errors import CapExceededError, NotASubgroupError, UsageError
+from globfun.errors import CapExceededError, MathCheckError, NotASubgroupError, UsageError
 from globfun.functors import (
     AxiomProbe,
     CorruptedTransfer,
@@ -27,6 +29,7 @@ from globfun.perms import (
     GroupHom,
     Perm,
     PermGroup,
+    alternating_group,
     conjugate_subgroup,
     restrict_to_block,
     standard_inclusion,
@@ -146,6 +149,17 @@ def test_burnside_res_matches_reference_on_conjugations():
             assert BurnsideFunctor()._res_matrix(alpha) == reference_res_matrix(alpha)
 
 
+def test_burnside_res_checks_orbits_against_stabilizers():
+    # generator images of the trivial map with the table of the identity:
+    # the cosets of e in Sym(2) fall into orbits of one, but each stabilizer
+    # read from the table is e, of index 2
+    s2 = symmetric_group(2)
+    lying = SimpleNamespace(source=s2, target=s2, table=GroupHom.identity(s2).table,
+                            gen_images=[s2.identity])
+    with pytest.raises(MathCheckError, match="orbit size does not match stabilizer index"):
+        BurnsideFunctor()._res_matrix(lying)
+
+
 def test_burnside_cosets_built_once_per_class(monkeypatch):
     """Restriction and marks share one coset map per (G, subgroup class):
     the axiom probe at n = 4 used to rebuild one 884 times for 44 pairs."""
@@ -238,6 +252,32 @@ def test_standard_probe_structure():
         assert k <= g and h <= g
 
 
+def _plain(x):
+    """x with every list and tuple a tuple and every frozenset its sorted
+    tuple, so that repr does not depend on set iteration order."""
+    if isinstance(x, frozenset):
+        return tuple(sorted(x))
+    if isinstance(x, (tuple, list)):
+        return tuple(map(_plain, x))
+    return x
+
+
+def test_standard_probe_order_is_pinned():
+    # groups by image set, homs by key, then chains, surjections and Mackey
+    # triples, each in the order verify_axioms reads it
+    probe = standard_probe(5)
+    lists = (
+        [g.image_set for g in probe.groups],
+        [a.key() for a in probe.homs],
+        [tuple(g.image_set for g in c) for c in probe.chains],
+        [(q.key(), b.image_set) for q, b in probe.surjections],
+        [tuple(g.image_set for g in t) for t in probe.mackey_triples],
+    )
+    assert [len(v) for v in lists] == [31, 208, 130, 133, 341]
+    digest = "97c9bf24075245990cd4417ebf473a4428e17d0144bde2672a6ac92eb05a822e"
+    assert hashlib.sha256(repr(_plain(lists)).encode()).hexdigest() == digest
+
+
 def test_standard_probe_shares_its_groups():
     # every hom starts at one of the probe's own group objects, block
     # projections included, and the standard inclusions also end at one
@@ -265,6 +305,24 @@ def test_corrupted_transfer_fails_mackey():
     assert any(c.relation == "R5" and not c.passed for c in report.checks)
     first = next(c for c in report.checks if c.relation == "R5" and not c.passed)
     assert "entry" in first.detail
+
+
+class TwistedConjugation(BurnsideFunctor):
+    """Burnside, with the corner of every restriction along a hom that moves
+    a generator bumped, so conjugation by a noncentral element breaks R3."""
+
+    def _res_matrix(self, alpha):
+        m = super()._res_matrix(alpha)
+        if [v.images for v in alpha.gen_images] != [x.images for x in alpha.source.generators]:
+            m[0][0] += 1
+        return m
+
+
+def test_r3_failure_names_its_first_differing_entry():
+    s3 = symmetric_group(3)
+    report = verify_axioms(TwistedConjugation(), AxiomProbe([s3], [], [], [], []))
+    assert [c.relation for c in report.failures()] == ["R3"] * 5
+    assert {c.detail for c in report.failures()} == {"entry (0,0): left 2, right 1"}
 
 
 def conjugate_young_probe(seed=9, count=3):
@@ -310,6 +368,48 @@ def test_axioms_pass_on_random_conjugate_young_subgroups():
     # the transfer into Sym(4) from a conjugate of S2 x e x e, corrupted
     s2 = next(h for h in probe.groups if h.order == 2 and h.orbits()[0] != (1, 2))
     bad = verify_axioms(CorruptedTransfer(BurnsideFunctor(), s2, probe.groups[0]), probe)
+    assert any(c.relation == "R5" and not c.passed for c in bad.checks)
+
+
+def alternating_probe():
+    """A probe on Alt(4): its subgroups up to conjugacy (e, C2, C3, V4 and
+    A4), the inclusions among them, conjugation by (1 2 3) on each one it
+    normalizes, the quotient A4 -> A4/V4 = C3 read off the three ways to
+    split {1, 2, 3, 4} into pairs, and the Mackey triples inside A4."""
+    a4 = alternating_group(4)
+    subs = [trivial_subgroup(a4)] + [
+        PermGroup(4, [Perm.parse(c, 4) for c in cycles])
+        for cycles in (["(1 2)(3 4)"], ["(1 2 3)"], ["(1 2)(3 4)", "(1 3)(2 4)"])
+    ] + [a4]
+    t = Perm.parse("(1 2 3)", 4)
+    inclusions = [(a, b) for a in subs for b in subs if a.order < b.order and a <= b]
+
+    pairings = [frozenset([frozenset([1, j]), frozenset({2, 3, 4} - {j})]) for j in (2, 3, 4)]
+
+    def on_pairings(x):
+        return tuple(1 + pairings.index(frozenset(frozenset(x[i - 1] for i in pair) for pair in p))
+                     for p in pairings)
+
+    c3 = alternating_group(3)
+    q = GroupHom.from_callable(a4, c3, on_pairings)
+    homs = [GroupHom.identity(h) for h in subs]
+    homs += [GroupHom.inclusion(a, b) for a, b in inclusions]
+    homs += [GroupHom.conjugation(h, h, t) for h in subs if conjugate_subgroup(h, t) == h]
+    homs.append(q)
+    chains = [(a, b, c) for a, b in inclusions for mid, c in inclusions if mid is b]
+    surjections = [(q, trivial_subgroup(c3)), (q, c3)]
+    return AxiomProbe(subs, homs, chains, surjections, [(k, h, a4) for k in subs for h in subs])
+
+
+def test_burnside_axioms_on_alternating_probe():
+    probe = alternating_probe()
+    assert [h.order for h in probe.groups] == [1, 2, 3, 4, 12]
+    assert len(probe.chains) == 5 and probe.surjections[0][0].is_surjective_onto_target()
+    report = verify_axioms(BurnsideFunctor(), probe)
+    assert report.all_passed, report.failures()[:3]
+    assert {c.relation for c in report.checks} == {"R1", "R2", "R3", "R4", "R5"}
+    c3, a4 = probe.groups[2], probe.groups[-1]
+    bad = verify_axioms(CorruptedTransfer(BurnsideFunctor(), c3, a4), probe)
     assert any(c.relation == "R5" and not c.passed for c in bad.checks)
 
 

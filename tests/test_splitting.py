@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from globfun.burnside import BurnsideFunctor
 from globfun.errors import CapExceededError, MathCheckError, UnsupportedGroupError, UsageError
-from globfun.functors import CorruptedTransfer, GlobalFunctor
+from globfun.functors import CorruptedTransfer, FreeAbelian, GlobalFunctor
 from globfun.repring import RepRingFunctor
 from globfun import splitting
 from globfun.splitting import (
@@ -159,6 +159,80 @@ def test_splitting_report_repring():
         assert "determinant" in rep.summary_lines()[2]
         d = rep.to_dict()
         assert d["component_ranks"] == list(expect)
+
+
+class TowerToy(GlobalFunctor):
+    """A functor known by hand-written 1 x 1 tower maps, [[1]] where none is
+    given, so that F(Sym(n)) = Z splits with no kernel above level 0.  The
+    group path that decompose restricts along reads `tower_res` at the
+    target's degree, which is right up to n = 1."""
+
+    name = "toy"
+
+    def __init__(self, res=None, psi_maps=None):
+        super().__init__()
+        self.res_at, self.psi_at = res or {}, psi_maps or {}
+
+    def tower_value(self, n):
+        return FreeAbelian(("x",))
+
+    def _value(self, g):
+        return self.tower_value(g.degree)
+
+    def tower_res(self, n):
+        return self.res_at.get(n, [[1]])
+
+    def tower_psi(self, k, n):
+        return self.psi_at.get((k, n), [[1]])
+
+    def _res_matrix(self, alpha):
+        return self.tower_res(alpha.target.degree)
+
+
+class LowerPsiAdded(RepRingFunctor):
+    """RU with psi(2, 3) added into psi(0, 3).  A column operation keeps the
+    assembled matrix unimodular, but down o psi(0, 3) is no longer psi(0, 2)."""
+
+    def tower_psi(self, k, n):
+        m = super().tower_psi(k, n)
+        if (k, n) == (0, 3):
+            m = [[a + b for a, b in zip(r, t)] for r, t in zip(m, psi(self, 2, 3).matrix)]
+        return m
+
+
+@pytest.mark.parametrize("res,psi_maps,message", [
+    ({1: [[0]]}, {}, r"kernel ranks \[1, 1\] do not add up to 1"),
+    ({}, {(0, 1): [[2]]}, "assembled splitting matrix has determinant 2"),
+    ({1: [[2]]}, {(0, 0): [[2]]}, "basis vector 0 of the lower level has no integer preimage"),
+])
+def test_splitting_report_rejects_a_broken_tower(res, psi_maps, message):
+    assert splitting_report(TowerToy(), 1).determinant == 1
+    with pytest.raises(MathCheckError, match=message):
+        splitting_report(TowerToy(res, psi_maps), 1)
+
+
+def test_splitting_report_rejects_a_perturbed_psi_column():
+    assert abs(splitting_report(RepRingFunctor(), 3).determinant) == 1
+    with pytest.raises(MathCheckError, match="ladder relation fails at k=0, n=3"):
+        splitting_report(LowerPsiAdded(), 3)
+
+
+def test_doubled_kernel_basis_fails_the_certificate_and_decompose():
+    f = RepRingFunctor()
+    top = psi(RepRingFunctor(), 3, 3).apply((1,))
+    f._kernel_memo[3] = tuple(tuple(2 * v for v in row) for row in kernel_basis(f, 3))
+    with pytest.raises(MathCheckError, match="determinant -?2$"):
+        splitting_report(f, 3)
+    # the true kernel vector is half of the doubled basis vector
+    with pytest.raises(MathCheckError, match="residue does not lie in the top kernel lattice"):
+        decompose(f, 3, top)
+
+
+def test_decompose_rejects_a_residue_with_no_kernel_to_hold_it():
+    assert decompose(TowerToy(), 1, (1,)) == ((1,), ())
+    # psi(0, 1) doubles, so x - psi(0, 1)(res x) = -x, and ker F(i_1) is zero
+    with pytest.raises(MathCheckError, match="nonzero residue left for an empty kernel"):
+        decompose(TowerToy(psi_maps={(0, 1): [[2]]}), 1, (1,))
 
 
 # one instance per functor, so the group path's memos stay warm across examples
