@@ -11,6 +11,7 @@ value table of the rewritten alpha) over all of Y x X, but canonical_pair
 reaches it without visiting every pair: the subgroup part runs over the left
 cosets of N_Y(H), and the homomorphism part over the distinct tuples of
 generator images, so the key is the one the full search gives.  The
+subgroup part is computed once per (Y, H), memoized on their image sets.  The
 restriction morphism along i_n goes from Sym(n) to Sym(n-1), matching the
 direction of its action.
 
@@ -45,6 +46,9 @@ from .perms import (
 )
 from .subgroups import subgroup_classes
 
+# (target.image_set, H.image_set) -> the subgroup half of canonical_pair
+_least_conjugate_memo: dict = {}
+
 
 class CanonicalPair:
     """A canonical representative (H <= target, alpha: H -> source)."""
@@ -66,7 +70,7 @@ class CanonicalPair:
         return f"CanonicalPair{self.label()}"
 
 
-def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup, part=None) -> CanonicalPair:
+def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> CanonicalPair:
     """Minimize (H, alpha) over conjugation in the target and the source.
 
     The key is the sorted element tuple of the conjugated subgroup together
@@ -84,11 +88,11 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup, part=None) 
       distinct ones are compared, on their value tables one entry at a time,
       and only the least table is built in full.
 
-    The subgroup half depends on H alone; a caller that pairs one H with
-    many homomorphisms passes it in as `part`, from `_least_conjugate`.
+    The subgroup half depends on (target, H) alone and is computed once per
+    such pair (`_least_conjugate`).
     """
     source = alpha.target
-    sub, skey, conjs = part or _least_conjugate(h, target)
+    sub, skey, conjs = _least_conjugate(h, target)
     subgens = [s.images for s in sub.generators]
     table = alpha.table
     kconj = [_conjugator(k) for k in sorted(source.image_set)]
@@ -121,7 +125,12 @@ def _least_conjugate(h: PermGroup, target: PermGroup):
     """The subgroup half of canonical_pair: the least conjugate H0 of H, as a
     group and as its sorted element tuple, and, as m runs over the sorted
     elements of N = N_target(H), the maps y |-> g^-1 y g for g = g0 m^-1,
-    where g0 H g0^-1 = H0."""
+    where g0 H g0^-1 = H0.  Memoized on the image sets of target and H:
+    bases, composites and products meet the same subgroups many times."""
+    key = (target.image_set, h.image_set)
+    hit = _least_conjugate_memo.get(key)
+    if hit is not None:
+        return hit
     norm = normalizer(target, h)
     best = None
     for g in left_coset_reps(target, norm)[1]:
@@ -131,21 +140,9 @@ def _least_conjugate(h: PermGroup, target: PermGroup):
     skey, g0 = best
     to_ginv = _right_mul(_inverse(g0))  # m -> m g0^-1
     conjs = [_conjugator(to_ginv(m)) for m in sorted(norm.image_set)]
-    return PermGroup.from_elements(target.degree, skey), skey, conjs
-
-
-def _least_conjugates(target: PermGroup):
-    """`_least_conjugate(h, target)` as a function of h, computed once per
-    subgroup: composites and products meet the same subgroups many times."""
-    memo = {}
-
-    def part_of(h: PermGroup):
-        key = h.image_set
-        if key not in memo:
-            memo[key] = _least_conjugate(h, target)
-        return memo[key]
-
-    return part_of
+    half = (PermGroup.from_elements(target.degree, skey), skey, conjs)
+    _least_conjugate_memo[key] = half
+    return half
 
 
 def morphism_basis(source: PermGroup, target: PermGroup):
@@ -154,9 +151,8 @@ def morphism_basis(source: PermGroup, target: PermGroup):
     found = {}
     for cls in lat.classes:
         h = cls.representative
-        part = _least_conjugate(h, target)
         for alpha in all_homs(h, source):
-            pair = canonical_pair(h, alpha, target, part)
+            pair = canonical_pair(h, alpha, target)
             found.setdefault(pair.key, pair)
     return [found[k] for k in sorted(found)]
 
@@ -217,14 +213,12 @@ class BurnsideCatMorphism:
             == {k: v for k, (_, v) in other.terms.items()}
         )
 
-    def compose(self, first: "BurnsideCatMorphism", part_of=None) -> "BurnsideCatMorphism":
-        """self o first, rewriting restriction-past-transfer double cosets;
-        `part_of` is a `_least_conjugates(self.target)` to share."""
+    def compose(self, first: "BurnsideCatMorphism") -> "BurnsideCatMorphism":
+        """self o first, rewriting restriction-past-transfer double cosets."""
         if first.target != self.source:
             raise UsageError("morphisms not composable")
         mid = self.source
         out = BurnsideCatMorphism(first.source, self.target)
-        part_of = part_of or _least_conjugates(self.target)
         for key_j in sorted(self.terms):
             jpair, jcoeff = self.terms[key_j]
             beta = jpair.hom
@@ -233,13 +227,12 @@ class BurnsideCatMorphism:
                 hpair, hcoeff = first.terms[key_h]
                 h, alpha = hpair.subgroup, hpair.hom
                 for y in double_cosets(mid, image, h):
-                    yinv = y.inverse()
-                    moved = conjugate_subgroup(h, y)
-                    low = beta.preimage(moved)
-                    images = [alpha(yinv * beta(x) * y) for x in low.generators]
-                    gamma = GroupHom(low, first.source, images)
-                    out._add(canonical_pair(low, gamma, self.target, part_of(low)),
-                             jcoeff * hcoeff)
+                    low = beta.preimage(conjugate_subgroup(h, y))
+                    # x |-> alpha(y^-1 beta(x) y), on image tuples
+                    back = _conjugator(_inverse(y.images))
+                    images = [alpha.table[back(beta.table[x.images])] for x in low.generators]
+                    gamma = GroupHom(low, first.source, [Perm._from_images(v) for v in images])
+                    out._add(canonical_pair(low, gamma, self.target), jcoeff * hcoeff)
         return out
 
     def action_on(self, f: GlobalFunctor) -> ZMap:
@@ -314,9 +307,8 @@ class RepresentedFunctor(GlobalFunctor):
 
     def _composition_matrix(self, m: BurnsideCatMorphism, src, dst):
         """The matrix of composing with m, from the basis at src to the one at dst."""
-        part_of = _least_conjugates(dst)
         cols = [
-            self._coords(m.compose(self._as_morphism(src, unit), part_of), dst)
+            self._coords(m.compose(self._as_morphism(src, unit)), dst)
             for unit in identity_matrix(len(self.basis(src)))
         ]
         return [list(row) for row in zip(*cols)] if cols else [[] for _ in self.basis(dst)]
@@ -398,18 +390,11 @@ def section_of_restriction(n: int) -> SectionReport:
 def _section_from_splitting(rep: RepresentedFunctor, cur: PermGroup) -> BurnsideCatMorphism:
     """Decompose the identity one level down and push the slots back up to
     cur = Sym(n)."""
-    from .splitting import decompose, psi
+    from .splitting import _psi_sum, decompose
 
-    n = cur.degree
     prev = rep.l_group
-    ident = BurnsideCatMorphism.identity(prev)
-    target = rep._coords(ident, prev)
-    parts = decompose(rep, n - 1, target)
-    total = [0] * rep.value(cur).rank
-    for k, part in enumerate(parts):
-        image = psi(rep, k, n).apply(part)
-        total = [a + b for a, b in zip(total, image)]
-    return rep._as_morphism(cur, total)
+    parts = decompose(rep, cur.degree - 1, rep._coords(BurnsideCatMorphism.identity(prev), prev))
+    return rep._as_morphism(cur, _psi_sum(rep, cur.degree, parts))
 
 
 def _on_second_factor(d: int, table):
@@ -442,12 +427,11 @@ def product_section(g: PermGroup, section: SectionReport) -> "ProductSectionRepo
     big_inc = GroupHom.from_callable(big_prev, big_cur, _on_second_factor(d, inc.table))
 
     paired = BurnsideCatMorphism(big_prev, big_cur)
-    part_of = _least_conjugates(big_cur)
     for key in sorted(section.sigma.terms):
         pair, coeff = section.sigma.terms[key]
         sub = product_group(g, pair.subgroup)
         alpha = GroupHom.from_callable(sub, big_prev, _on_second_factor(d, pair.hom.table))
-        paired._add(canonical_pair(sub, alpha, big_cur, part_of(sub)), coeff)
+        paired._add(canonical_pair(sub, alpha, big_cur), coeff)
 
     burnside = BurnsideFunctor()
     act = paired.action_on(burnside)

@@ -256,10 +256,11 @@ class RelationCheck:
 
 
 class AxiomReport:
-    __slots__ = ("functor", "checks")
+    __slots__ = ("functor", "degree", "checks")
 
-    def __init__(self, functor: str, checks):
+    def __init__(self, functor: str, degree: int, checks):
         self.functor = functor
+        self.degree = degree  # the largest degree of a probe group
         self.checks = list(checks)
 
     @property
@@ -270,7 +271,7 @@ class AxiomReport:
         return [c for c in self.checks if not c.passed]
 
     def summary_lines(self):
-        lines = []
+        lines = [f"axioms of the {self.functor} functor on the probe up to degree {self.degree}"]
         for rel in ("R1", "R2", "R3", "R4", "R5"):
             sub = [c for c in self.checks if c.relation == rel]
             bad = [c for c in sub if not c.passed]
@@ -444,4 +445,4 @@ def verify_axioms(f: GlobalFunctor, probe: AxiomProbe) -> AxiomReport:
         rhs = mackey_sum(f, k, h, g)
         record("R5", f"K={k!r}, H={h!r} inside {g!r}", lhs, rhs)
 
-    return AxiomReport(f.name, checks)
+    return AxiomReport(f.name, max((g.degree for g in probe.groups), default=0), checks)

@@ -574,8 +574,9 @@ class GroupHom:
     @staticmethod
     def conjugation(source, target, g: Perm) -> "GroupHom":
         """x |-> g x g^-1 from source into target."""
-        ginv = g.inverse()
-        return GroupHom(source, target, [g * x * ginv for x in source.generators])
+        conj = _conjugator(g.images)
+        images = [Perm._from_images(conj(x.images)) for x in source.generators]
+        return GroupHom(source, target, images)
 
     def __call__(self, x: Perm) -> Perm:
         return Perm._from_images(self.table[x.images])

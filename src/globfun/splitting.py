@@ -246,10 +246,7 @@ def decompose(f: GlobalFunctor, n: int, x):
     if n == 0:
         return (x,)
     below = decompose(f, n - 1, f.res(standard_inclusion(n)).apply(x))
-    residual = list(x)
-    for k, part in enumerate(below):
-        image = psi(f, k, n).apply(part)
-        residual = [a - b for a, b in zip(residual, image)]
+    residual = [a - b for a, b in zip(x, _psi_sum(f, n, below))]
     basis = kernel_basis(f, n)
     if not basis:
         if any(residual):
@@ -268,11 +265,14 @@ def reassemble(f: GlobalFunctor, n: int, components):
     components = tuple(tuple(c) for c in components)
     if len(components) != n + 1:
         raise UsageError(f"expected {n + 1} components, got {len(components)}")
-    total = [0] * f.tower_value(n).rank
-    for k, part in enumerate(components):
-        image = psi(f, k, n).apply(part)
-        total = [a + b for a, b in zip(total, image)]
-    return tuple(total)
+    return tuple(_psi_sum(f, n, components))
+
+
+def _psi_sum(f: GlobalFunctor, n: int, parts):
+    """The sum over k of psi(k, n) applied to parts[k], a vector of F(Sym(n));
+    parts holds at least the k = 0 slot."""
+    images = [psi(f, k, n).apply(part) for k, part in enumerate(parts)]
+    return [sum(col) for col in zip(*images)]
 
 
 # ---------------------------------------------------------------------------

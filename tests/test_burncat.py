@@ -27,6 +27,7 @@ from globfun.functors import standard_probe, verify_axioms
 from globfun.perms import (
     GroupHom,
     Perm,
+    PermGroup,
     all_homs,
     conjugate_subgroup,
     product_group,
@@ -175,23 +176,56 @@ def test_canonical_pair_matches_reference_on_products():
         _assert_same_pair(sub, alpha, big_cur)
 
 
-def test_morphism_basis_finds_each_normalizer_once(monkeypatch):
-    # the subgroup half of canonical_pair is read once per class, and the
-    # pairs it yields are the ones canonical_pair finds on its own
+def _fresh_pair(h, alpha, target, monkeypatch):
+    """canonical_pair computed from an empty subgroup-half memo, which is
+    put back afterwards."""
+    memo = burncat._least_conjugate_memo
+    monkeypatch.setattr(burncat, "_least_conjugate_memo", {})
+    pair = canonical_pair(h, alpha, target)
+    monkeypatch.setattr(burncat, "_least_conjugate_memo", memo)
+    return pair
+
+
+def _counting_normalizer(monkeypatch):
+    """Empty the subgroup-half memo and count the halves computed behind it,
+    as (target, H) image-set pairs: each computation takes one normalizer."""
     calls = []
     normalizer = burncat.normalizer
 
     def counting(g, h):
-        calls.append(h)
+        calls.append((g.image_set, h.image_set))
         return normalizer(g, h)
 
+    monkeypatch.setattr(burncat, "_least_conjugate_memo", {})
     monkeypatch.setattr(burncat, "normalizer", counting)
+    return calls
+
+
+def test_morphism_basis_finds_each_normalizer_once(monkeypatch):
+    # the subgroup half of canonical_pair is computed once per class, and the
+    # pairs the basis holds are the ones a fresh computation finds
+    calls = _counting_normalizer(monkeypatch)
     basis = morphism_basis(S[3], S[4])
-    assert len(calls) == len(subgroup_classes(S[4]).classes)
-    monkeypatch.setattr(burncat, "normalizer", normalizer)
+    assert len(calls) == len(set(calls)) == len(subgroup_classes(S[4]).classes)
     for pair in basis:
-        alone = canonical_pair(pair.subgroup, pair.hom, S[4])
+        alone = _fresh_pair(pair.subgroup, pair.hom, S[4], monkeypatch)
         assert alone.key == pair.key and alone.label() == pair.label()
+
+
+def test_subgroup_half_memo_tells_targets_apart(monkeypatch):
+    # one H = <(1 2)> and one alpha inside Sym(3) x Sym(1) and inside Sym(4):
+    # its least conjugate is <(2 3)> in the first and <(3 4)> in the second,
+    # so a memo keyed on H alone would hand the second call the first's half
+    small, big = young_two_block(4, 3), S[4]
+    h = PermGroup.from_elements(4, [(1, 2, 3, 4), (2, 1, 3, 4)])
+    alpha = GroupHom(h, S[2], S[2].generators)
+    for targets in ((small, big), (big, small)):
+        monkeypatch.setattr(burncat, "_least_conjugate_memo", {})
+        for target in targets:
+            got = canonical_pair(h, alpha, target)
+            assert got.key == reference_canonical_pair(h, alpha, target).key
+            assert got.key == _fresh_pair(h, alpha, target, monkeypatch).key
+    assert canonical_pair(h, alpha, small).key != canonical_pair(h, alpha, big).key
 
 
 def _composites_and_product_section():
@@ -210,39 +244,33 @@ def _composites_and_product_section():
     return run
 
 
-def test_shared_subgroup_halves_match_canonical_pair_alone(monkeypatch):
-    # compose and product_section pass canonical_pair a subgroup half that
-    # they share between pairs; each pair is the one canonical_pair finds
-    # on its own
-    shared = []
+def test_memoized_subgroup_halves_match_fresh_ones(monkeypatch):
+    # compose and product_section meet the same subgroups many times and
+    # read their halves from the memo; each pair is the one a fresh
+    # computation finds
+    hits = []
     canonical = burncat.canonical_pair
 
-    def checked(h, alpha, target, part=None):
-        pair = canonical(h, alpha, target, part)
-        if part is not None:
-            shared.append(h.image_set)
-            alone = canonical(h, alpha, target)
-            assert alone.key == pair.key and alone.label() == pair.label()
+    def checked(h, alpha, target):
+        if (target.image_set, h.image_set) in burncat._least_conjugate_memo:
+            hits.append(h.image_set)
+        pair = canonical(h, alpha, target)
+        alone = _fresh_pair(h, alpha, target, monkeypatch)
+        assert alone.key == pair.key and alone.label() == pair.label()
         return pair
 
     run = _composites_and_product_section()
+    monkeypatch.setattr(burncat, "_least_conjugate_memo", {})
     monkeypatch.setattr(burncat, "canonical_pair", checked)
     run()
-    assert len(shared) > len(set(shared))
+    assert hits
 
 
 def test_composites_find_each_subgroup_half_once(monkeypatch):
-    halves = []
-    least = burncat._least_conjugate
-
-    def counting(h, target):
-        halves.append((h.image_set, target.image_set))
-        return least(h, target)
-
     run = _composites_and_product_section()
-    monkeypatch.setattr(burncat, "_least_conjugate", counting)
+    calls = _counting_normalizer(monkeypatch)
     run()
-    assert halves and len(halves) == len(set(halves))
+    assert calls and len(calls) == len(set(calls))
 
 
 def test_identity_law():

@@ -46,6 +46,20 @@ def test_subcommand_smoke(capsys, argv, marker):
     assert marker in out
 
 
+def test_verify_axioms_text_names_functor_and_probe(capsys):
+    # the relation counts alone are the same for both functors
+    firsts = []
+    for functor in ("burnside", "repring"):
+        code, out, err = run(capsys, "--no-cache", "verify-axioms", "--functor", functor,
+                             "--max-n", "3")
+        assert code == 0, err
+        firsts.append(out.splitlines()[0])
+    assert firsts == [
+        "axioms of the burnside functor on the probe up to degree 3",
+        "axioms of the ru functor on the probe up to degree 3",
+    ]
+
+
 def test_json_output_roundtrips(capsys):
     for argv in [
         ("marks", "--group", "S3"),
