@@ -397,15 +397,13 @@ def _section_from_splitting(rep: RepresentedFunctor, cur: PermGroup) -> Burnside
     return rep._as_morphism(cur, _psi_sum(rep, cur.degree, parts))
 
 
-def _on_second_factor(d: int, table):
-    """id x f on the image tuples of a product whose first factor has degree
-    d, for f given by its table."""
-
-    def fn(x):
-        right = table[tuple(v - d for v in x[d:])]
-        return x[:d] + tuple(v + d for v in right)
-
-    return fn
+def _on_second_factor(source: PermGroup, target: PermGroup, d: int, f: GroupHom) -> GroupHom:
+    """id x f from source into target, products whose first factor has degree d."""
+    images = []
+    for x in source.generators:
+        right = f.table[tuple(v - d for v in x.images[d:])]
+        images.append(Perm(x.images[:d] + tuple(v + d for v in right)))
+    return GroupHom(source, target, images)
 
 
 def product_section(g: PermGroup, section: SectionReport) -> "ProductSectionReport":
@@ -424,13 +422,13 @@ def product_section(g: PermGroup, section: SectionReport) -> "ProductSectionRepo
     big_cur = product_group(g, inc.target)
     d = g.degree
 
-    big_inc = GroupHom.from_callable(big_prev, big_cur, _on_second_factor(d, inc.table))
+    big_inc = _on_second_factor(big_prev, big_cur, d, inc)
 
     paired = BurnsideCatMorphism(big_prev, big_cur)
     for key in sorted(section.sigma.terms):
         pair, coeff = section.sigma.terms[key]
         sub = product_group(g, pair.subgroup)
-        alpha = GroupHom.from_callable(sub, big_prev, _on_second_factor(d, pair.hom.table))
+        alpha = _on_second_factor(sub, big_prev, d, pair.hom)
         paired._add(canonical_pair(sub, alpha, big_cur), coeff)
 
     burnside = BurnsideFunctor()

@@ -38,10 +38,11 @@ n before it enumerates anything.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import product
 from math import factorial, prod
 
 from .errors import NonIntegralError, NotASubgroupError, UnsupportedGroupError, UsageError
-from .perms import GroupHom, Perm, PermGroup
+from .perms import GroupHom, Perm, PermGroup, _cycles
 
 Partition = tuple[int, ...]
 
@@ -181,27 +182,14 @@ class CharacterTable:
 
     def class_index_of(self, p: tuple) -> int:
         """Class index of any element of the group, given by its image tuple,
-        via per-block cycle types."""
+        via per-block cycle types.  The cycles through a block stay in it
+        exactly when their lengths sum to its size."""
         types = []
         for b in self.blocks:
-            lens = []
-            seen = set()
-            for start in b:
-                if start in seen:
-                    continue
-                length = 1
-                seen.add(start)
-                nxt = p[start - 1]
-                while nxt != start:
-                    if nxt not in b:
-                        raise UsageError(
-                            f"element {Perm._from_images(p)} does not preserve block {b}"
-                        )
-                    seen.add(nxt)
-                    length += 1
-                    nxt = p[nxt - 1]
-                lens.append(length)
-            types.append(tuple(sorted(lens, reverse=True)))
+            lens = sorted(map(len, _cycles(p, b)), reverse=True)
+            if sum(lens) != len(b):
+                raise UsageError(f"element {Perm._from_images(p)} does not preserve block {b}")
+            types.append(tuple(lens))
         return self._type_index[tuple(types)]
 
     def irreducible(self, i: int) -> "ClassFunction":
@@ -241,17 +229,8 @@ _table_memo: dict = {}
 
 
 def _build_table(degree: int, blocks) -> CharacterTable:
-    per_block_labels = [partitions(len(b)) for b in blocks]
-    per_block_types = [tuple(reversed(partitions(len(b)))) for b in blocks]
-
-    def product_rows(lists):
-        out = [()]
-        for lst in lists:
-            out = [pre + (x,) for pre in out for x in lst]
-        return out
-
-    labels = tuple(product_rows(per_block_labels))
-    class_types = tuple(product_rows(per_block_types))
+    labels = tuple(product(*(partitions(len(b)) for b in blocks)))
+    class_types = tuple(product(*(reversed(partitions(len(b))) for b in blocks)))
 
     reps = []
     sizes = []

@@ -232,7 +232,7 @@ class CorruptedTransfer(GlobalFunctor):
 def terminal_hom(g: PermGroup) -> GroupHom:
     """The unique homomorphism onto the trivial group (degree-1 model)."""
     e = symmetric_group(1)
-    return GroupHom.from_callable(g, e, lambda x: (1,))
+    return GroupHom(g, e, [e.identity] * len(g.generators))
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +374,7 @@ def standard_probe(max_n: int) -> AxiomProbe:
         mackey_triples += [(k, h, full) for k in subs for h in subs]
     # i_n as standard_inclusion(n) builds it, on the probe's own groups
     fulls = [subs[-1] for subs in subs_of.values()]
-    steps = [GroupHom.from_callable(low, high, lambda x, n=high.degree: x + (n,))
+    steps = [GroupHom(low, high, [Perm(x.images + (high.degree,)) for x in low.generators])
              for low, high in zip(fulls, fulls[1:])]
     homs = [GroupHom.identity(g) for g in groups] + maps + steps
     return AxiomProbe(groups, homs, chains, surjections, mackey_triples)
@@ -435,7 +435,7 @@ def verify_axioms(f: GlobalFunctor, probe: AxiomProbe) -> AxiomReport:
 
     for q, b in probe.surjections:
         pre = q.preimage(b)
-        restricted = GroupHom.from_callable(pre, b, q.table.__getitem__)
+        restricted = GroupHom(pre, b, list(map(q, pre.generators)))
         lhs = f.res(q).compose(f.tr(b, q.target))
         rhs = f.tr(pre, q.source).compose(f.res(restricted))
         record("R4", f"surjection {q!r} with subgroup {b!r}", lhs, rhs)

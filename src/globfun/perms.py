@@ -23,7 +23,9 @@ cached getter, `_right_mul(p)`, as (x * p)(i) = x(p(i)); y -> g y g^-1 is
 one callable, `_conjugator(g)`.  Every orbit of a group action (points,
 conjugacy classes, double cosets, the conjugates of a subgroup, Burnside
 restriction) is one call of `_orbits` with one map per generator; left
-cosets are acted on through their least member (`_coset_moves`).
+cosets are acted on through their least member (`_coset_moves`).  The
+cycles of a permutation are the orbits of the group it generates, so
+`_cycles` is `_orbits` with one map too.
 
 Closure is one algorithm, Dimino's coset join `_join` (Butler, Fundamental
 Algorithms for Permutation Groups, ch. 7): `close_generators`, the
@@ -32,7 +34,11 @@ grow a group one right coset at a time.
 
 Identity: a group is its `image_set`, the frozenset of its elements' image
 tuples, which equality, hashing and every memo key read; a homomorphism is
-its `table`, image tuple -> image tuple.
+its `table`, image tuple -> image tuple.  A homomorphism has one
+constructor, `GroupHom(source, target, images)` on the images of the
+source's generators, and its Cayley pass is the one homomorphism check;
+structural maps (i_n, block projections, the terminal map) are built the
+same way.
 """
 
 from __future__ import annotations
@@ -137,30 +143,14 @@ class Perm:
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point, sorted."""
-        seen = [False] * self.degree
-        out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            cyc = [start]
-            seen[start - 1] = True
-            nxt = self.images[start - 1]
-            while nxt != start:
-                cyc.append(nxt)
-                seen[nxt - 1] = True
-                nxt = self.images[nxt - 1]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
-        return out
+        return [tuple(c) for c in _cycles(self.images) if len(c) > 1]
 
     def cycle_type(self) -> tuple[int, ...]:
         """Cycle lengths including fixed points, descending; a partition of degree."""
-        lens = [len(c) for c in self.cycles()]
-        lens += [1] * (self.degree - sum(lens))
-        return tuple(sorted(lens, reverse=True))
+        return tuple(sorted(map(len, _cycles(self.images)), reverse=True))
 
     def is_even(self) -> bool:
-        return sum(len(c) - 1 for c in self.cycles()) % 2 == 0
+        return (self.degree - len(_cycles(self.images))) % 2 == 0
 
     def is_identity(self) -> bool:
         return all(self.images[i] == i + 1 for i in range(self.degree))
@@ -222,6 +212,15 @@ def _orbits(points, moves):
                     orbit.append(y)
         out.append(orbit)
     return out
+
+
+def _cycles(p: tuple, points=None) -> list[list[int]]:
+    """The cycles of the image tuple p through `points` (all of 1..len(p) by
+    default), ordered by first point, each read from that point on: the
+    orbits of <p>."""
+    if points is None:
+        points = range(1, len(p) + 1)
+    return _orbits(points, [((0,) + p).__getitem__])
 
 
 def _join(hset, gens, bound):
@@ -552,16 +551,6 @@ class GroupHom:
         self.table = _table
 
     @staticmethod
-    def from_callable(source, target, fn) -> "GroupHom":
-        """The homomorphism that fn, a map of image tuples, is; checked
-        against fn on every element, and named at the least that fails."""
-        hom = GroupHom(source, target, [Perm(fn(g.images)) for g in source.generators])
-        bad = min((x for x, fx in hom.table.items() if fn(x) != fx), default=None)
-        if bad is not None:
-            raise NotAHomomorphismError(f"not a homomorphism at {Perm._from_images(bad)}")
-        return hom
-
-    @staticmethod
     def identity(g: PermGroup) -> "GroupHom":
         return GroupHom(g, g, g.generators)
 
@@ -574,6 +563,8 @@ class GroupHom:
     @staticmethod
     def conjugation(source, target, g: Perm) -> "GroupHom":
         """x |-> g x g^-1 from source into target."""
+        if g.degree != source.degree:
+            raise UsageError(f"cannot multiply degrees {g.degree} and {source.degree}")
         conj = _conjugator(g.images)
         images = [Perm._from_images(conj(x.images)) for x in source.generators]
         return GroupHom(source, target, images)
@@ -622,18 +613,17 @@ def restrict_to_block(g: PermGroup, block) -> GroupHom:
     is a group of degree len(block).
     """
     block = tuple(sorted(block))
+    if not block:
+        raise UsageError("empty block")
+    for pt in block:
+        if not 1 <= pt <= g.degree:
+            raise UsageError(f"point {pt} outside 1..{g.degree}")
     pos = {pt: i + 1 for i, pt in enumerate(block)}
-    for x in g.generators:
-        for pt in block:
-            if x(pt) not in pos:
-                raise UsageError(f"group does not preserve block {block}")
-    if len(block) > 1:
-        pick, lift = itemgetter(*[pt - 1 for pt in block]), pos.__getitem__
-        squash = lambda x: tuple(map(lift, pick(x)))
-    else:  # one point has one permutation, and itemgetter needs two indices for a tuple
-        squash = lambda x: (1,)
-    target = PermGroup(len(block), [Perm(squash(x.images)) for x in g.generators])
-    return GroupHom.from_callable(g, target, squash)
+    if any(x(pt) not in pos for x in g.generators for pt in block):
+        raise UsageError(f"group does not preserve block {block}")
+    # the target's generators are the images of g's, so they are the hom's images
+    target = PermGroup(len(block), [Perm([pos[x(pt)] for pt in block]) for x in g.generators])
+    return GroupHom(g, target, target.generators)
 
 
 def standard_inclusion(n: int) -> GroupHom:
@@ -646,7 +636,7 @@ def standard_inclusion(n: int) -> GroupHom:
         raise UsageError("n must be >= 1")
     src, tgt = symmetric_group(n - 1), symmetric_group(n)
     tail = tuple(range(src.degree + 1, n + 1))
-    return GroupHom.from_callable(src, tgt, lambda x: x + tail)
+    return GroupHom(src, tgt, [Perm(x.images + tail) for x in src.generators])
 
 
 def all_homs(source: PermGroup, target: PermGroup) -> list[GroupHom]:
@@ -700,7 +690,7 @@ def _hom_table(source: PermGroup, target: PermGroup, images, strict=False):
 
 
 def _element_order(p: Perm) -> int:
-    return lcm(*(len(c) for c in p.cycles()))
+    return lcm(*map(len, _cycles(p.images)))
 
 
 # ---------------------------------------------------------------------------

@@ -134,12 +134,12 @@ def verify_dcf_symmetric(f: GlobalFunctor, k: int, n: int) -> DcfCheck:
     lhs = f.res(inc).compose(f.tr(h, sym_n))
 
     low1 = young_two_block(n - 1, k)
-    into1 = GroupHom.from_callable(low1, h, lambda x: x + (n,))
+    into1 = GroupHom(low1, h, [Perm(x.images + (n,)) for x in low1.generators])
     term1 = f.tr(low1, sym_prev).compose(f.res(into1))
 
     low2 = young_two_block(n - 1, k - 1)
     conj = _conjugator(Perm.from_cycles(n, [(k, n)]).images)
-    into2 = GroupHom.from_callable(low2, h, lambda x: conj(x + (n,)))
+    into2 = GroupHom(low2, h, [Perm(conj(x.images + (n,))) for x in low2.generators])
     term2 = f.tr(low2, sym_prev).compose(f.res(into2))
 
     rhs = term1 + term2

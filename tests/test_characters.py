@@ -272,6 +272,14 @@ def test_class_index_of():
         assert Perm(rep).cycle_type() == t.class_types[i][0]
 
 
+def test_class_index_of_refuses_an_element_that_leaves_a_block():
+    # (1 2 3) carries 2 from the block {1, 2} to 3, outside it
+    t = character_table(young_subgroup(4, [[1, 2], [3, 4]]))
+    assert t.class_index_of((2, 1, 4, 3)) == t.class_types.index(((2,), (2,)))
+    with pytest.raises(UsageError, match=r"^element \(1 2 3\) does not preserve block \(1, 2\)$"):
+        t.class_index_of((2, 3, 1, 4))
+
+
 def test_restriction_branching():
     # frozen example: the degree-2 irreducible of Sym(3) restricts along
     # i_3 to (2, 0) = trivial + sign

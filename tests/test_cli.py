@@ -113,6 +113,20 @@ def test_usage_errors_exit_2(capsys, monkeypatch):
     assert "n must be >= 0" in err
 
 
+@pytest.mark.parametrize(
+    "argv,bad",
+    [(("dcf", "--functor", "foo"), "'foo'"),
+     (("fusion", "--family", "symmetric", "--n-range", "5"), "'symmetric'")],
+)
+def test_unknown_choices_exit_2_through_argparse(capsys, argv, bad):
+    # argparse's choices are the only check on a functor or family name
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--no-cache", *argv])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"invalid choice: {bad}" in out.err
+
+
 def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "10")
     code, _, err = run(capsys, "--no-cache", "marks", "--group", "S4")

@@ -371,11 +371,21 @@ def test_axioms_pass_on_random_conjugate_young_subgroups():
     assert any(c.relation == "R5" and not c.passed for c in bad.checks)
 
 
+_PAIRINGS = [frozenset([frozenset([1, j]), frozenset({2, 3, 4} - {j})]) for j in (2, 3, 4)]
+
+
+def on_pairings(x):
+    """The permutation an element of Alt(4), as an image tuple, induces on
+    the three ways to split {1, 2, 3, 4} into pairs."""
+    return tuple(1 + _PAIRINGS.index(frozenset(frozenset(x[i - 1] for i in pair) for pair in p))
+                 for p in _PAIRINGS)
+
+
 def alternating_probe():
     """A probe on Alt(4): its subgroups up to conjugacy (e, C2, C3, V4 and
     A4), the inclusions among them, conjugation by (1 2 3) on each one it
-    normalizes, the quotient A4 -> A4/V4 = C3 read off the three ways to
-    split {1, 2, 3, 4} into pairs, and the Mackey triples inside A4."""
+    normalizes, the quotient A4 -> A4/V4 = C3 given by `on_pairings` on the
+    generators, and the Mackey triples inside A4."""
     a4 = alternating_group(4)
     subs = [trivial_subgroup(a4)] + [
         PermGroup(4, [Perm.parse(c, 4) for c in cycles])
@@ -383,15 +393,8 @@ def alternating_probe():
     ] + [a4]
     t = Perm.parse("(1 2 3)", 4)
     inclusions = [(a, b) for a in subs for b in subs if a.order < b.order and a <= b]
-
-    pairings = [frozenset([frozenset([1, j]), frozenset({2, 3, 4} - {j})]) for j in (2, 3, 4)]
-
-    def on_pairings(x):
-        return tuple(1 + pairings.index(frozenset(frozenset(x[i - 1] for i in pair) for pair in p))
-                     for p in pairings)
-
     c3 = alternating_group(3)
-    q = GroupHom.from_callable(a4, c3, on_pairings)
+    q = GroupHom(a4, c3, [Perm(on_pairings(x.images)) for x in a4.generators])
     homs = [GroupHom.identity(h) for h in subs]
     homs += [GroupHom.inclusion(a, b) for a, b in inclusions]
     homs += [GroupHom.conjugation(h, h, t) for h in subs if conjugate_subgroup(h, t) == h]
@@ -405,6 +408,8 @@ def test_burnside_axioms_on_alternating_probe():
     probe = alternating_probe()
     assert [h.order for h in probe.groups] == [1, 2, 3, 4, 12]
     assert len(probe.chains) == 5 and probe.surjections[0][0].is_surjective_onto_target()
+    q = probe.surjections[0][0]
+    assert len(q.table) == 12 and q.table == {x: on_pairings(x) for x in q.source.image_set}
     report = verify_axioms(BurnsideFunctor(), probe)
     assert report.all_passed, report.failures()[:3]
     assert {c.relation for c in report.checks} == {"R1", "R2", "R3", "R4", "R5"}
@@ -428,6 +433,28 @@ def test_terminal_hom_res_is_inflation():
     m = A.res(terminal_hom(s2))
     # the one-point set inflates to the one-point set: [e/e] to [S2/S2]
     assert m.matrix == ((0,), (1,))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_structural_maps_match_their_formulas(n):
+    """Each structural homomorphism is built from its generators' images; on
+    every element its table must equal the tuple formula it stands for."""
+
+    def agrees(hom, formula):
+        return hom.table == {x: formula(x) for x in hom.source.image_set}
+
+    assert agrees(standard_inclusion(n), lambda x: x + tuple(range(len(x) + 1, n + 1)))
+    for k in range(n + 1):
+        y = young_two_block(n, k)
+        for block in (range(1, k + 1), range(k + 1, n + 1)):
+            if block:  # the blocks are runs of points, relabelled from 1
+                proj = restrict_to_block(y, block)
+                assert agrees(proj, lambda x: tuple(x[p - 1] - block[0] + 1 for p in block))
+    assert agrees(terminal_hom(symmetric_group(n)), lambda x: (1,))
+    steps = [h for h in standard_probe(n).homs if h.target.degree == h.source.degree + 1]
+    assert len(steps) == n - 1
+    for step in steps:
+        assert agrees(step, lambda x: x + (len(x) + 1,))
 
 
 def test_probe_rejects_bad_bound():

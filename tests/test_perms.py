@@ -6,6 +6,7 @@ double coset counts and fusion data all come from that run.
 """
 
 import random
+import re
 from itertools import product
 from math import factorial
 
@@ -36,6 +37,7 @@ from globfun.perms import (
     normalizer,
     product_group,
     parse_group_spec,
+    restrict_to_block,
     standard_inclusion,
     symmetric_group,
     trivial_subgroup,
@@ -668,41 +670,47 @@ def _wrong_image_count():
     return GroupHom(symmetric_group(3), symmetric_group(3), [Perm.identity(3)])
 
 
-def _callable_not_a_hom():
-    # agrees with the identity map on the generators and e, sends the rest to e
-    s3 = symmetric_group(3)
-    e = s3.identity.images
-    gens = {g.images for g in s3.generators} | {e}
-    return GroupHom.from_callable(s3, s3, lambda x: x if x in gens else e)
-
-
 @pytest.mark.parametrize(
     "build,error",
     [
         (_s2_to_s3_by_3_cycle, NotAHomomorphismError),
         (_image_outside_target, NotAHomomorphismError),
         (_wrong_image_count, UsageError),
-        (_callable_not_a_hom, NotAHomomorphismError),
     ],
-    ids=["inconsistent-images", "image-outside-target", "wrong-image-count", "callable"],
+    ids=["inconsistent-images", "image-outside-target", "wrong-image-count"],
 )
 def test_group_hom_rejects(build, error):
     with pytest.raises(error):
         build()
 
 
-def test_from_callable_maps_image_tuples():
-    s3 = symmetric_group(3)
-    assert GroupHom.from_callable(s3, s3, lambda x: x).table == {x: x for x in s3.image_set}
-    # the least element where fn and the homomorphism part: (2 3) = (1, 3, 2)
-    with pytest.raises(NotAHomomorphismError, match=r"^not a homomorphism at \(2 3\)$"):
-        _callable_not_a_hom()
-    # (1 2 3) is outside the block subgroup preserving {1, 2} and {3}
-    with pytest.raises(NotAHomomorphismError, match="outside target"):
-        GroupHom.from_callable(s3, young_two_block(3, 2), lambda x: x)
-    # a value outside the target at a non-generator, here a degree-2 tuple
-    with pytest.raises(NotAHomomorphismError, match="not a homomorphism at"):
-        GroupHom.from_callable(s3, s3, lambda x: x if x in s3.image_set - {(3, 2, 1)} else (2, 1))
+@pytest.mark.parametrize(
+    "build,message",
+    [
+        (lambda: GroupHom.conjugation(symmetric_group(3), symmetric_group(3),
+                                      Perm.parse("(1 2)", 4)), "cannot multiply degrees 4 and 3"),
+        (lambda: GroupHom.conjugation(symmetric_group(4), symmetric_group(4),
+                                      Perm.parse("(1 2)", 3)), "cannot multiply degrees 3 and 4"),
+        (lambda: restrict_to_block(young_subgroup(4, [[1, 2], [3, 4]]), [5]),
+         "point 5 outside 1..4"),
+        (lambda: restrict_to_block(young_subgroup(4, [[1, 2], [3, 4]]), [3, 4, 5]),
+         "point 5 outside 1..4"),
+        # x(0) would read the last point
+        (lambda: restrict_to_block(young_subgroup(4, [[1, 2]]), [0, 4]), "point 0 outside 1..4"),
+        (lambda: restrict_to_block(young_subgroup(4, [[1, 2]]), []), "empty block"),
+    ],
+    ids=["conj-higher-degree", "conj-lower-degree", "block-past-degree", "block-partly-past",
+         "block-point-zero", "empty-block"],
+)
+def test_inputs_of_the_wrong_degree_are_refused(build, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_restrict_to_block_refuses_a_block_the_group_leaves():
+    # (1 2) in Sym({1, 2}) x Sym({3, 4}) moves 2 off the block {2, 3}
+    with pytest.raises(UsageError, match=r"^group does not preserve block \(2, 3\)$"):
+        restrict_to_block(young_two_block(4, 2), [2, 3])
 
 
 def test_elements_built_only_when_read():
@@ -726,8 +734,6 @@ def test_standard_inclusion():
 def test_hom_compose_image_preimage():
     s4 = symmetric_group(4)
     y = young_two_block(4, 2)
-    from globfun.perms import restrict_to_block
-
     p1 = restrict_to_block(y, [1, 2])
     assert p1.target.order == 2
     assert p1.is_surjective_onto_target()
