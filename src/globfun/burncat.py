@@ -48,6 +48,8 @@ from .subgroups import subgroup_classes
 
 # (target.image_set, H.image_set) -> the subgroup half of canonical_pair
 _least_conjugate_memo: dict = {}
+# source.image_set -> y |-> k y k^-1 for k over the sorted source elements
+_source_conjugators_memo: dict = {}
 
 
 class CanonicalPair:
@@ -89,13 +91,17 @@ def canonical_pair(h: PermGroup, alpha: GroupHom, target: PermGroup) -> Canonica
       and only the least table is built in full.
 
     The subgroup half depends on (target, H) alone and is computed once per
-    such pair (`_least_conjugate`).
+    such pair (`_least_conjugate`); the source conjugators are built once per
+    source.
     """
     source = alpha.target
     sub, skey, conjs = _least_conjugate(h, target)
     subgens = [s.images for s in sub.generators]
     table = alpha.table
-    kconj = [_conjugator(k) for k in sorted(source.image_set)]
+    kconj = _source_conjugators_memo.get(source.image_set)
+    if kconj is None:
+        kconj = [_conjugator(k) for k in sorted(source.image_set)]
+        _source_conjugators_memo[source.image_set] = kconj
     found = {}  # generator image tuple -> (pulled-back values on skey, k's conjugator)
     for conj in conjs:
         vals = tuple([table[conj(s)] for s in subgens])

@@ -184,6 +184,8 @@ class CharacterTable:
         """Class index of any element of the group, given by its image tuple,
         via per-block cycle types.  The cycles through a block stay in it
         exactly when their lengths sum to its size."""
+        if len(p) != self.degree:
+            raise UsageError(f"element degree {len(p)} != {self.degree}")
         types = []
         for b in self.blocks:
             lens = sorted(map(len, _cycles(p, b)), reverse=True)

@@ -7,6 +7,8 @@ row space / kernel conventions are spelled out per function.
 
 from __future__ import annotations
 
+from operator import mul
+
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
@@ -39,7 +41,7 @@ def mat_mul(a, b) -> list[list[int]]:
 
 
 def mat_vec(a, v) -> list[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(mul, row, v)) for row in a]
 
 
 def mat_add(a, b) -> list[list[int]]:

@@ -33,12 +33,15 @@ generating set of `from_elements` and the subgroup lattice's joins all
 grow a group one right coset at a time.
 
 Identity: a group is its `image_set`, the frozenset of its elements' image
-tuples, which equality, hashing and every memo key read; a homomorphism is
-its `table`, image tuple -> image tuple.  A homomorphism has one
-constructor, `GroupHom(source, target, images)` on the images of the
-source's generators, and its Cayley pass is the one homomorphism check;
-structural maps (i_n, block projections, the terminal map) are built the
-same way.
+tuples, which equality, hashing and every memo key read.  One `image_set`
+is shared per generating set: `close_generators` memoizes its result on the
+degree and the generators' image tuples, so each generating set is closed
+once per process, and a memo key holding that set hashes it once and is
+matched by identity.  A homomorphism is its `table`, image tuple -> image
+tuple.  It has one constructor, `GroupHom(source, target, images)` on the
+images of the source's generators, and its Cayley pass is the one
+homomorphism check; structural maps (i_n, block projections, the terminal
+map) are built the same way.
 """
 
 from __future__ import annotations
@@ -125,6 +128,8 @@ class Perm:
         return Perm.from_cycles(degree, cycles)
 
     def __call__(self, point: int) -> int:
+        if not 1 <= point <= self.degree:
+            raise UsageError(f"point {point} outside 1..{self.degree}")
         return self.images[point - 1]
 
     def __mul__(self, other: "Perm") -> "Perm":
@@ -241,23 +246,36 @@ def _join(hset, gens, bound):
     return frozenset(found)
 
 
+# (degree, generator image tuples) -> the frozenset close_generators built
+_closure_memo: dict = {}
+
+
 def close_generators(degree, generators):
     """The frozenset of image tuples of the group the generators generate.
 
     Folds `_join` over the generators, skipping any already in the group,
     so the group grows one coset at a time.  Raises CapExceededError once
-    more elements are found than the group cap allows.
+    more elements are found than the group cap allows.  The set is memoized
+    on the degree and the generators' image tuples, so every group on the
+    same generators shares one `image_set`; a hit checks the cap read now,
+    so a refusal never depends on what was closed before.
     """
     gens = list(generators)
     for g in gens:
         if g.degree != degree:
             raise UsageError(f"generator degree {g.degree} != {degree}")
     cap = _cap("group order")
-    found, joined = frozenset([tuple(range(1, degree + 1))]), []
-    for g in gens:
-        if g.images not in found:
-            joined.append(g.images)
-            found = _join(found, joined, cap)
+    key = (degree, tuple(g.images for g in gens))
+    found = _closure_memo.get(key)
+    if found is None:
+        found, joined = frozenset([tuple(range(1, degree + 1))]), []
+        for g in gens:
+            if g.images not in found:
+                joined.append(g.images)
+                found = _join(found, joined, cap)
+        _closure_memo[key] = found
+    elif len(found) > cap:
+        raise CapExceededError("group order", cap)
     return found
 
 

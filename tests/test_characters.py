@@ -280,6 +280,19 @@ def test_class_index_of_refuses_an_element_that_leaves_a_block():
         t.class_index_of((2, 3, 1, 4))
 
 
+def test_class_index_of_refuses_an_element_of_another_degree():
+    # a degree-4 element used to read Sym(3)'s transposition class, and a
+    # degree-2 one ended in an IndexError
+    t = char_table_symmetric(3)
+    chi = t.irreducible(1)
+    assert chi(Perm.parse("(1 2)", 3)) == 0
+    for degree in (4, 2):
+        with pytest.raises(UsageError, match=f"^element degree {degree} != 3$"):
+            chi(Perm.parse("(1 2)", degree))
+        with pytest.raises(UsageError, match=f"^element degree {degree} != 3$"):
+            t.class_index_of(Perm.parse("(1 2)", degree).images)
+
+
 def test_restriction_branching():
     # frozen example: the degree-2 irreducible of Sym(3) restricts along
     # i_3 to (2, 0) = trivial + sign

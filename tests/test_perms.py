@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from globfun import perms
 from globfun.errors import (
     CapExceededError,
     InvalidPermutationError,
@@ -74,6 +75,15 @@ def test_perm_validation():
         Perm.parse("(1 9)", 3)
 
 
+def test_perm_call_refuses_points_outside_its_degree():
+    # a point below 1 used to be read from the end: (0) gave the last image
+    p = Perm.parse("(1 2)", 3)
+    assert [p(i) for i in (1, 2, 3)] == [2, 1, 3]
+    for point in (0, -1, 4):
+        with pytest.raises(UsageError, match=f"^point {point} outside 1..3$"):
+            p(point)
+
+
 def test_orbits_first_point_then_breadth_first():
     a = Perm.parse("(1 2 3 4 5)", 7)
     b = a.inverse()
@@ -128,6 +138,62 @@ def test_close_generators_cap(monkeypatch):
     with pytest.raises(CapExceededError) as exc:
         close_generators(4, gens)
     assert exc.value.cap == 10
+
+
+def test_groups_on_the_same_generators_share_one_image_set(monkeypatch):
+    monkeypatch.setattr(perms, "_closure_memo", {})
+    a, b = symmetric_group(6), symmetric_group(6)
+    assert a is not b and a.image_set is b.image_set and a.order == 720
+    gens = [Perm.parse("(1 2)", 4)]
+    assert PermGroup(4, gens).image_set is close_generators(4, gens)
+    # the degree is part of the key: no generators on 1 and on 2 points
+    assert close_generators(1, []) != close_generators(2, [])
+
+
+def test_closure_memo_hit_refuses_past_the_cap_like_a_cold_build(monkeypatch):
+    monkeypatch.setattr(perms, "_closure_memo", {})
+    gens = [Perm.parse("(1 2 3 4 5)", 5), Perm.parse("(1 2)", 5)]
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "100")
+    with pytest.raises(CapExceededError) as cold:
+        PermGroup(5, gens)
+    assert perms._closure_memo == {}
+    monkeypatch.delenv("GLOBFUN_MAX_GROUP_ORDER")
+    assert PermGroup(5, gens).order == 120
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "100")
+    with pytest.raises(CapExceededError) as hit:
+        PermGroup(5, gens)
+    assert str(hit.value) == str(cold.value)
+    assert (hit.value.what, hit.value.cap) == (cold.value.what, cold.value.cap)
+    assert cold.value.cap == 100
+
+
+def test_closure_refused_at_the_cap_closes_once_the_cap_is_raised(monkeypatch):
+    monkeypatch.setattr(perms, "_closure_memo", {})
+    gens = [Perm.parse("(1 2 3 4)", 4), Perm.parse("(1 2)", 4)]
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "23")
+    with pytest.raises(CapExceededError):
+        close_generators(4, gens)
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", "24")
+    assert len(close_generators(4, gens)) == 24
+    assert list(perms._closure_memo) == [(4, ((2, 3, 4, 1), (2, 1, 3, 4)))]
+
+
+def test_closure_memo_keeps_the_degree_check(monkeypatch):
+    monkeypatch.setattr(perms, "_closure_memo", {})
+    g = Perm.parse("(1 2)", 4)
+    PermGroup(4, [g])
+    with pytest.raises(UsageError, match="^generator degree 4 != 5$"):
+        close_generators(5, [g])
+    with pytest.raises(UsageError, match="^generator degree 4 != 5$"):
+        PermGroup(5, [g])
+    assert list(perms._closure_memo) == [(4, ((2, 1, 3, 4),))]
+
+
+def test_built_orders_sees_every_construction_on_a_memo_hit(built_orders):
+    symmetric_group(5)
+    symmetric_group(5)
+    alternating_group(4)
+    assert built_orders == [120, 120, 12]
 
 
 def reference_close(degree, generators, cap):
