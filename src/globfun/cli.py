@@ -18,7 +18,7 @@ from .burncat import product_section, section_of_restriction
 from .burnside import BurnsideFunctor
 from .cache import Cache
 from .characters import _check_moved_degree, char_table_symmetric
-from .errors import GlobfunError, MathCheckError, NonIntegralError, UsageError, _cap
+from .errors import GlobfunError, MathCheckError, NonIntegralError, UsageError, _cap, _read_int
 from .functors import standard_probe, verify_axioms
 from .perms import _check_order_factors, _read_group_spec, parse_group_spec
 from .repring import RepRingFunctor
@@ -30,6 +30,14 @@ from .splitting import (
     verify_dcf_symmetric,
 )
 from .subgroups import table_of_marks
+
+
+def _int_arg(text: str) -> int:
+    """An integer option; non-ASCII digits are refused like any bad int."""
+    try:
+        return _read_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _check_spec(spec: str, lattice: bool):
@@ -204,9 +212,9 @@ def _cmd_fusion(cache, args):
     text = args.n_range.strip()
     try:
         if ".." in text:
-            lo, hi = (int(part) for part in text.split("..", 1))
+            lo, hi = (_read_int(part) for part in text.split("..", 1))
         else:
-            lo = hi = int(text)
+            lo = hi = _read_int(text)
     except ValueError:
         raise UsageError(f"bad --n-range {args.n_range!r}, expected like 5..8")
     if lo > hi:
@@ -268,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", choices=["text", "json"], default="text")
     parser.add_argument("--cache-dir", default=None, help="cache directory (env GLOBFUN_CACHE_DIR)")
     parser.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
-    parser.add_argument("--seed", type=int, default=None, help="seed for generated elements")
+    parser.add_argument("--seed", type=_int_arg, default=None, help="seed for generated elements")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("marks", help="table of marks of a group")
@@ -282,28 +290,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-axioms", help="check the functor axioms on a probe set")
     p.add_argument("--functor", choices=["burnside", "repring"], required=True)
-    p.add_argument("--max-n", type=int, default=3)
+    p.add_argument("--max-n", type=_int_arg, default=3)
     p.set_defaults(handler=_cmd_verify_axioms)
 
     p = sub.add_parser("dcf", help="two-sided double coset identity at (n, k)")
     p.add_argument("--functor", choices=["burnside", "repring"], required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
+    p.add_argument("--k", type=_int_arg, required=True)
     p.set_defaults(handler=_cmd_dcf)
 
     p = sub.add_parser("split", help="splitting report at level n")
     p.add_argument("--functor", choices=["burnside", "repring"], required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.set_defaults(handler=_cmd_split)
 
     p = sub.add_parser("decompose", help="split a vector into kernel components")
     p.add_argument("--functor", choices=["burnside", "repring"], required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--element", default=None, help="JSON integer vector; seeded random if omitted")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("section", help="section of composition with the restriction morphism")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--with-product-group", default=None, metavar="SPEC")
     p.set_defaults(handler=_cmd_section)
 
@@ -313,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_fusion)
 
     p = sub.add_parser("char-table", help="character table of a symmetric group")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.set_defaults(handler=_cmd_char_table)
     return parser
 
@@ -329,7 +337,7 @@ def main(argv=None) -> int:
         if args.seed is None:
             text = os.environ.get("GLOBFUN_SEED", "0")
             try:
-                args.seed = int(text)
+                args.seed = _read_int(text)
             except ValueError:
                 raise UsageError(f"GLOBFUN_SEED must be an integer, got {text!r}")
         cache_dir = args.cache_dir

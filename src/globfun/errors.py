@@ -58,6 +58,14 @@ _CAPS = {
 }
 
 
+def _read_int(text: str) -> int:
+    """int() on ASCII text only: int() alone also reads the digits of other
+    scripts (Arabic-Indic, fullwidth), which no option or variable accepts."""
+    if not text.isascii():
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)
+
+
 def _cap(what: str) -> int:
     """The cap on `what`, from the environment now; UsageError unless positive."""
     name, default = _CAPS[what]
@@ -65,7 +73,7 @@ def _cap(what: str) -> int:
     if text is None:
         return default
     try:
-        cap = int(text)
+        cap = _read_int(text)
     except ValueError:
         cap = 0
     if cap <= 0:

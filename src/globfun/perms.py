@@ -41,7 +41,9 @@ matched by identity.  A homomorphism is its `table`, image tuple -> image
 tuple.  It has one constructor, `GroupHom(source, target, images)` on the
 images of the source's generators, and its Cayley pass is the one
 homomorphism check; structural maps (i_n, block projections, the terminal
-map) are built the same way.
+map) are built the same way.  That pass runs once per `key()` and process:
+a key that passed it is remembered, not its table, and a later hom on the
+same key builds its table only when something first reads it.
 """
 
 from __future__ import annotations
@@ -54,6 +56,7 @@ from operator import itemgetter
 from .errors import (
     CapExceededError,
     InvalidPermutationError,
+    MathCheckError,
     NotAHomomorphismError,
     NotASubgroupError,
     UsageError,
@@ -435,10 +438,11 @@ def symmetric_group(n: int) -> PermGroup:
     _check_order_factors(range(2, n + 1), "group order")
     if n <= 1:
         return PermGroup(1, [], name=f"S{max(n, 1)}")
-    # the long cycle first: the join is cheapest when its first subgroup is largest
-    gens = [Perm.from_cycles(n, [tuple(range(1, n + 1))])]
+    # the long cycle (1 2 ... n) first, as the join is cheapest when its first
+    # subgroup is largest, then (1 2); both are bijections by construction
+    gens = [Perm._from_images(tuple(range(2, n + 1)) + (1,))]
     if n > 2:
-        gens.append(Perm.from_cycles(n, [(1, 2)]))
+        gens.append(Perm._from_images((2, 1) + tuple(range(3, n + 1))))
     return PermGroup(n, gens, name=f"S{n}")
 
 
@@ -502,8 +506,10 @@ def product_group(a: PermGroup, b: PermGroup) -> PermGroup:
     return PermGroup(d, gens, name=name)
 
 
+# sizes are ASCII digits: \d would also match the digits of other scripts
 _GROUP_SPEC_RE = re.compile(
-    r"^(?:S(?P<sn>\d+)|A(?P<an>\d+)|S(?P<pk>\d+)xS(?P<pl>\d+)|Y(?P<yk>\d+),(?P<yl>\d+))$"
+    r"^(?:S(?P<sn>[0-9]+)|A(?P<an>[0-9]+)|S(?P<pk>[0-9]+)xS(?P<pl>[0-9]+)"
+    r"|Y(?P<yk>[0-9]+),(?P<yl>[0-9]+))$"
 )
 
 
@@ -545,15 +551,20 @@ def trivial_subgroup(g: PermGroup) -> PermGroup:
 # homomorphisms
 
 
+# GroupHom.key() tuples whose Cayley pass succeeded in this process
+_checked_homs: set = set()
+
+
 class GroupHom:
     """A homomorphism between enumerated groups, given by generator images.
 
     Its total map is `table`, built and checked by `_hom_table` (`all_homs`
     passes in one it built): restriction matrices, images and preimages all
-    read it.
+    read it.  The Cayley pass runs once per `key()` and process; a hom on a
+    key that already passed builds its table when `table` is first read.
     """
 
-    __slots__ = ("source", "target", "gen_images", "table")
+    __slots__ = ("source", "target", "gen_images", "_table")
 
     def __init__(self, source: PermGroup, target: PermGroup, images, _table=None):
         if _table is None:
@@ -562,11 +573,24 @@ class GroupHom:
             for v in images:
                 if v not in target:
                     raise NotAHomomorphismError(f"image {v} outside target")
-            _table = _hom_table(source, target, images, strict=True)
         self.source = source
         self.target = target
         self.gen_images = tuple(images)
-        self.table = _table
+        if _table is None:
+            key = self.key()
+            if key not in _checked_homs:
+                _table = _hom_table(source, target, images, strict=True)
+                _checked_homs.add(key)
+        self._table = _table
+
+    @property
+    def table(self) -> dict:
+        """Source image tuple -> target image tuple, built on first read."""
+        if self._table is None:
+            self._table = _hom_table(self.source, self.target, self.gen_images)
+            if self._table is None:
+                raise MathCheckError(f"{self!r} passed its homomorphism check once, not now")
+        return self._table
 
     @staticmethod
     def identity(g: PermGroup) -> "GroupHom":
@@ -654,7 +678,7 @@ def standard_inclusion(n: int) -> GroupHom:
         raise UsageError("n must be >= 1")
     src, tgt = symmetric_group(n - 1), symmetric_group(n)
     tail = tuple(range(src.degree + 1, n + 1))
-    return GroupHom(src, tgt, [Perm(x.images + tail) for x in src.generators])
+    return GroupHom(src, tgt, [Perm._from_images(x.images + tail) for x in src.generators])
 
 
 def all_homs(source: PermGroup, target: PermGroup) -> list[GroupHom]:

@@ -127,6 +127,59 @@ def test_unknown_choices_exit_2_through_argparse(capsys, argv, bad):
     assert f"invalid choice: {bad}" in out.err
 
 
+# int() and \d alone read the digits of other scripts: \u0663 is the
+# Arabic-Indic three and \uff13 the fullwidth one
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (("split", "--functor", "repring", "--n", "\u0663"), "--n"),
+        (("dcf", "--functor", "repring", "--n", "4", "--k", "\u0662"), "--k"),
+        (("verify-axioms", "--functor", "repring", "--max-n", "\u0663"), "--max-n"),
+        (("char-table", "--n", "\uff13"), "--n"),
+        (("--seed", "\u0663", "decompose", "--functor", "repring", "--n", "3"), "--seed"),
+    ],
+    ids=["n", "k", "max-n", "fullwidth-n", "seed"],
+)
+def test_integer_options_refuse_non_ascii_digits(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--no-cache", *argv])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument {option}: invalid int value: " in out.err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("marks", "--group", "S\u0663"), "cannot parse group spec"),
+        (("functor-value", "--functor", "burnside", "--group", "Y\u0662,1"),
+         "cannot parse group spec"),
+        (("section", "--n", "2", "--with-product-group", "S2xS\uff11"), "cannot parse group spec"),
+        (("fusion", "--family", "alternating", "--n-range", "5..\u0667"), "bad --n-range"),
+        (("fusion", "--family", "alternating", "--n-range", "\u0665"), "bad --n-range"),
+    ],
+    ids=["spec-size", "spec-block", "product-spec", "range-end", "single-n"],
+)
+def test_specs_and_ranges_refuse_non_ascii_digits(capsys, argv, message):
+    code, out, err = run(capsys, "--no-cache", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "name,value",
+    [("GLOBFUN_SEED", "\u0663"), ("GLOBFUN_MAX_GROUP_ORDER", "\uff11\uff12\uff10"),
+     ("GLOBFUN_MAX_LATTICE_ORDER", "\u0661\u0660\u0660\u0660")],
+)
+def test_variables_refuse_non_ascii_digits(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "--no-cache", "decompose", "--functor", "burnside", "--n", "2")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+
+
 def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("GLOBFUN_MAX_LATTICE_ORDER", "10")
     code, _, err = run(capsys, "--no-cache", "marks", "--group", "S4")

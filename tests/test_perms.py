@@ -9,6 +9,7 @@ import random
 import re
 from itertools import product
 from math import factorial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from globfun import perms
 from globfun.errors import (
     CapExceededError,
     InvalidPermutationError,
+    MathCheckError,
     NotAHomomorphismError,
     NotASubgroupError,
     UsageError,
@@ -795,6 +797,66 @@ def test_standard_inclusion():
     assert all(i4(x)(4) == 4 for x in i4.source.elements)
     i1 = standard_inclusion(1)
     assert i1.source.order == 1 and i1.target.order == 1
+
+
+def test_a_checked_hom_key_skips_the_cayley_pass(monkeypatch):
+    monkeypatch.setattr(perms, "_checked_homs", set())
+    passes = []
+    hom_table = perms._hom_table
+
+    def counting(*args, strict=False):
+        passes.append(strict)
+        return hom_table(*args, strict=strict)
+
+    monkeypatch.setattr(perms, "_hom_table", counting)
+    first = standard_inclusion(5)
+    assert passes == [True] and perms._checked_homs == {first.key()}
+    second = standard_inclusion(5)
+    assert second is not first and second.key() == first.key()
+    assert passes == [True]
+    # the second table is built when first read, by a pass that is not the check
+    assert second.table == first.table and passes == [True, False]
+    assert second.table is second.table and passes == [True, False]
+
+
+def test_a_failed_hom_check_raises_each_time_and_stores_nothing(monkeypatch):
+    monkeypatch.setattr(perms, "_checked_homs", set())
+    for _ in range(2):
+        with pytest.raises(NotAHomomorphismError, match="^fails at "):
+            _s2_to_s3_by_3_cycle()
+    assert perms._checked_homs == set()
+
+
+def test_a_checked_key_keeps_the_image_checks(monkeypatch):
+    s3, y = symmetric_group(3), young_two_block(3, 2)
+    gens = tuple(g.images for g in s3.generators)
+    # even a key marked as checked is refused before the table is consulted
+    monkeypatch.setattr(perms, "_checked_homs", {(s3.image_set, y.image_set, gens, gens)})
+    with pytest.raises(NotAHomomorphismError, match="outside target"):
+        _image_outside_target()
+    with pytest.raises(UsageError, match="^one image per generator required$"):
+        GroupHom(s3, y, [])
+
+
+def test_a_checked_key_whose_table_fails_raises_a_math_check(monkeypatch):
+    s2, s3 = symmetric_group(2), symmetric_group(3)
+    key = (s2.image_set, s3.image_set, ((2, 1),), ((2, 3, 1),))
+    monkeypatch.setattr(perms, "_checked_homs", {key})
+    hom = _s2_to_s3_by_3_cycle()
+    with pytest.raises(MathCheckError, match="passed its homomorphism check once"):
+        hom.table
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_symmetric_group_generators_are_the_long_cycle_and_a_transposition(monkeypatch, n):
+    # the generators alone: no group up to Sym(9) is closed here
+    monkeypatch.setenv("GLOBFUN_MAX_GROUP_ORDER", str(factorial(9)))
+    monkeypatch.setattr(perms, "PermGroup", lambda degree, gens, name: SimpleNamespace(
+        degree=degree, generators=tuple(gens)))
+    group = symmetric_group(n)
+    want = [] if n < 2 else [Perm.from_cycles(n, [range(1, n + 1)]),
+                             Perm.from_cycles(n, [(1, 2)])][: n - 1]
+    assert group.degree == max(n, 1) and group.generators == tuple(want)
 
 
 def test_hom_compose_image_preimage():
