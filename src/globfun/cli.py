@@ -3,7 +3,9 @@
 Exit codes: 0 clean, 1 when a mathematical check fails (a falsified
 invariant, not a bug in the caller), 2 for every other package error, such
 as usage, caps and unsupported groups.  JSON output is canonical: sorted
-keys, integers only, so parse-and-reserialize is byte-identical.
+keys, integers only, so parse-and-reserialize is byte-identical.  Each
+command reads only the inputs it uses: `--seed` belongs to `decompose`, and
+only `marks` and `char-table` open the cache, through `_cached_table`.
 """
 
 import argparse
@@ -33,7 +35,7 @@ from .subgroups import table_of_marks
 
 
 def _int_arg(text: str) -> int:
-    """An integer option; non-ASCII digits are refused like any bad int."""
+    """An integer option, ASCII -?[0-9]+; any other spelling is a bad int."""
     try:
         return _read_int(text)
     except ValueError:
@@ -69,47 +71,55 @@ def _functor(name: str):
     return BurnsideFunctor() if name == "burnside" else RepRingFunctor()
 
 
-def _cached_table(cache, artifact: str, key: str, **fields):
-    """The stored payload of a square table, or None on a miss.
+def _cached_table(args, artifact: str, key: str, compute, **fields):
+    """The stored payload of a square table, or `compute()` stored on a miss.
 
+    The only place a cache is opened; `marks` and `char-table` call it.
     `fields` names each list of a fresh payload with the type of its
     entries, where a list entry is a list of integers.  A stored payload
     that has other keys, a field that is not such a list, fields of unequal
     or zero length n, or a matrix row whose length is not n counts as a
     miss, so the table is recomputed and the entry rewritten.
     """
+    root = args.cache_dir if args.cache_dir is not None else os.environ.get(
+        "GLOBFUN_CACHE_DIR", os.path.join(os.path.expanduser("~"), ".cache", "globfun"))
+    cache = Cache(root, enabled=not args.no_cache)
     payload = cache.get(artifact, key)
-    if not (isinstance(payload, dict) and payload.keys() == fields.keys()
+    if (isinstance(payload, dict) and payload.keys() == fields.keys()
             and all(isinstance(v, list) for v in payload.values())):
-        return None
-    n = len(payload["matrix"])
-    ok = n > 0 and all(
-        len(payload[field]) == n and all(
-            type(v) is kind and (kind is not list or all(type(x) is int for x in v))
-            for v in payload[field])
-        for field, kind in fields.items())
-    return payload if ok and all(len(row) == n for row in payload["matrix"]) else None
+        n = len(payload["matrix"])
+        ok = n > 0 and all(
+            len(payload[field]) == n and all(
+                type(v) is kind and (kind is not list or all(type(x) is int for x in v))
+                for v in payload[field])
+            for field, kind in fields.items())
+        if ok and all(len(row) == n for row in payload["matrix"]):
+            return payload
+    payload = compute()
+    cache.put(artifact, key, payload)
+    return payload
 
 
 # each command handler returns (payload, text_lines, ok)
 
 
-def _cmd_marks(cache, args):
+def _cmd_marks(args):
     spec = args.group.strip()
     # caps are checked before the cache lookup, so warm and cold runs agree;
     # the group itself is built only on a miss.  The key drops each size's
     # leading zeros, so every spelling of a group shares one short entry
     _check_spec(spec, True)
     key = re.sub(r"(?<!\d)0+(?=\d)", "", spec)
-    payload = _cached_table(cache, "marks", key, classes=str, orders=int, matrix=list)
-    if payload is None:
+
+    def compute():
         lat, marks = table_of_marks(parse_group_spec(spec))
-        payload = {
+        return {
             "classes": [c.label() for c in lat.classes],
             "orders": [c.order for c in lat.classes],
             "matrix": [list(row) for row in marks],
         }
-        cache.put("marks", key, payload)
+
+    payload = _cached_table(args, "marks", key, compute, classes=str, orders=int, matrix=list)
     payload["group"] = spec
     width = max(len(str(v)) for row in payload["matrix"] for v in row)
     lines = [f"table of marks for {payload['group']} ({len(payload['classes'])} classes)"]
@@ -119,7 +129,7 @@ def _cmd_marks(cache, args):
     return payload, lines, True
 
 
-def _cmd_functor_value(cache, args):
+def _cmd_functor_value(args):
     f = _functor(args.functor)
     _check_table(args.functor, *_check_spec(args.group, args.functor == "burnside"))
     value = f.value(parse_group_spec(args.group))
@@ -134,7 +144,7 @@ def _cmd_functor_value(cache, args):
     return payload, lines, True
 
 
-def _cmd_verify_axioms(cache, args):
+def _cmd_verify_axioms(args):
     _check_order(range(2, args.max_n + 1), args.functor == "burnside")
     _check_table(args.functor, args.max_n)
     f = _functor(args.functor)
@@ -142,7 +152,7 @@ def _cmd_verify_axioms(cache, args):
     return report.to_dict(), report.summary_lines(), report.all_passed
 
 
-def _cmd_dcf(cache, args):
+def _cmd_dcf(args):
     _check_order(range(2, args.n + 1), args.functor == "burnside")
     _check_table(args.functor, args.n)
     f = _functor(args.functor)
@@ -150,7 +160,7 @@ def _cmd_dcf(cache, args):
     return check.to_dict(), [check.summary()], check.passed
 
 
-def _cmd_split(cache, args):
+def _cmd_split(args):
     if args.functor == "burnside":
         _check_order(range(2, args.n + 1), True)
     _check_table(args.functor, args.n)
@@ -159,7 +169,7 @@ def _cmd_split(cache, args):
     return report.to_dict(), report.summary_lines(), True
 
 
-def _cmd_decompose(cache, args):
+def _cmd_decompose(args):
     _check_order(range(2, args.n + 1), args.functor == "burnside")
     _check_table(args.functor, args.n)
     f = _functor(args.functor)
@@ -169,9 +179,7 @@ def _cmd_decompose(cache, args):
             x = json.loads(args.element)
         except ValueError as exc:
             raise UsageError(f"--element is not valid JSON: {exc}")
-        if not isinstance(x, list) or any(
-            not isinstance(v, int) or isinstance(v, bool) for v in x
-        ):
+        if not isinstance(x, list) or any(type(v) is not int for v in x):
             raise UsageError("--element must be a JSON array of integers")
     else:
         rng = random.Random(args.seed)
@@ -192,7 +200,7 @@ def _cmd_decompose(cache, args):
     return payload, lines, True
 
 
-def _cmd_section(cache, args):
+def _cmd_section(args):
     g = None
     if args.with_product_group:
         _check_spec(args.with_product_group, True)
@@ -208,7 +216,7 @@ def _cmd_section(cache, args):
     return payload, lines, True
 
 
-def _cmd_fusion(cache, args):
+def _cmd_fusion(args):
     text = args.n_range.strip()
     try:
         if ".." in text:
@@ -231,24 +239,25 @@ def _cmd_fusion(cache, args):
     return payload, lines, True
 
 
-def _cmd_char_table(cache, args):
+def _cmd_char_table(args):
     key = f"S{args.n}"
     # n is checked before the cache lookup, as in _cmd_marks, so a stored
     # entry cannot answer an n that a cold run refuses
     if args.n < 0:
         raise UsageError("n must be >= 0")
     _check_moved_degree(args.n)
-    payload = _cached_table(cache, "char-table", key,
-                            rows=str, class_types=list, class_sizes=int, matrix=list)
-    if payload is None:
+
+    def compute():
         table = char_table_symmetric(args.n)
-        payload = {
+        return {
             "rows": [str(label[0]) for label in table.labels],
             "class_types": [list(t[0]) for t in table.class_types],
             "class_sizes": list(table.class_sizes),
             "matrix": [list(row) for row in table.matrix],
         }
-        cache.put("char-table", key, payload)
+
+    payload = _cached_table(args, "char-table", key, compute,
+                            rows=str, class_types=list, class_sizes=int, matrix=list)
     payload["group"] = key
     width = max(
         max(len(str(v)) for row in payload["matrix"] for v in row),
@@ -274,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computations with global Mackey functors on symmetric groups.",
     )
     parser.add_argument("--output", choices=["text", "json"], default="text")
-    parser.add_argument("--cache-dir", default=None, help="cache directory (env GLOBFUN_CACHE_DIR)")
-    parser.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
-    parser.add_argument("--seed", type=_int_arg, default=None, help="seed for generated elements")
+    cached = parser.add_mutually_exclusive_group()
+    cached.add_argument("--cache-dir", default=None, help="cache directory (env GLOBFUN_CACHE_DIR)")
+    cached.add_argument("--no-cache", action="store_true", help="disable the on-disk cache")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("marks", help="table of marks of a group")
@@ -307,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="split a vector into kernel components")
     p.add_argument("--functor", choices=["burnside", "repring"], required=True)
     p.add_argument("--n", type=_int_arg, required=True)
-    p.add_argument("--element", default=None, help="JSON integer vector; seeded random if omitted")
+    x = p.add_mutually_exclusive_group()
+    x.add_argument("--element", default=None, help="JSON integer vector; seeded random if omitted")
+    x.add_argument("--seed", type=_int_arg, default=0, help="seed for the generated vector")
     p.set_defaults(handler=_cmd_decompose)
 
     p = sub.add_parser("section", help="section of composition with the restriction morphism")
@@ -327,26 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        # the caps and the seed are read before any command runs, so a bad
-        # value exits 2 on every command
+        # the caps are read before any command runs, so a bad value exits 2
+        # on every command
         _cap("group order")
         _cap("subgroup lattice order")
-        if args.seed is None:
-            text = os.environ.get("GLOBFUN_SEED", "0")
-            try:
-                args.seed = _read_int(text)
-            except ValueError:
-                raise UsageError(f"GLOBFUN_SEED must be an integer, got {text!r}")
-        cache_dir = args.cache_dir
-        if cache_dir is None:
-            cache_dir = os.environ.get(
-                "GLOBFUN_CACHE_DIR", os.path.join(os.path.expanduser("~"), ".cache", "globfun")
-            )
-        cache = Cache(cache_dir, enabled=not args.no_cache)
-        payload, lines, ok = args.handler(cache, args)
+        payload, lines, ok = args.handler(args)
     except (MathCheckError, NonIntegralError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

@@ -59,10 +59,11 @@ _CAPS = {
 
 
 def _read_int(text: str) -> int:
-    """int() on ASCII text only: int() alone also reads the digits of other
-    scripts (Arabic-Indic, fullwidth), which no option or variable accepts."""
-    if not text.isascii():
-        raise ValueError(f"not an ASCII integer: {text!r}")
+    """The integer `text` spells as ASCII -?[0-9]+; int() alone also reads
+    other scripts' digits, underscores, a + sign and surrounding blanks."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
 

@@ -61,6 +61,7 @@ from .errors import (
     NotASubgroupError,
     UsageError,
     _cap,
+    _read_int,
 )
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -125,7 +126,7 @@ class Perm:
             if not chunk.strip():
                 continue
             try:
-                cycles.append([int(tok) for tok in chunk.split()])
+                cycles.append([_read_int(tok) for tok in chunk.split()])
             except ValueError:
                 raise InvalidPermutationError(f"bad cycle notation: {text!r}")
         return Perm.from_cycles(degree, cycles)

@@ -138,7 +138,7 @@ def test_unknown_choices_exit_2_through_argparse(capsys, argv, bad):
         (("dcf", "--functor", "repring", "--n", "4", "--k", "\u0662"), "--k"),
         (("verify-axioms", "--functor", "repring", "--max-n", "\u0663"), "--max-n"),
         (("char-table", "--n", "\uff13"), "--n"),
-        (("--seed", "\u0663", "decompose", "--functor", "repring", "--n", "3"), "--seed"),
+        (("decompose", "--functor", "repring", "--n", "3", "--seed", "\u0663"), "--seed"),
     ],
     ids=["n", "k", "max-n", "fullwidth-n", "seed"],
 )
@@ -170,7 +170,7 @@ def test_specs_and_ranges_refuse_non_ascii_digits(capsys, argv, message):
 
 @pytest.mark.parametrize(
     "name,value",
-    [("GLOBFUN_SEED", "\u0663"), ("GLOBFUN_MAX_GROUP_ORDER", "\uff11\uff12\uff10"),
+    [("GLOBFUN_MAX_GROUP_ORDER", "\uff11\uff12\uff10"),
      ("GLOBFUN_MAX_LATTICE_ORDER", "\u0661\u0660\u0660\u0660")],
 )
 def test_variables_refuse_non_ascii_digits(capsys, monkeypatch, name, value):
@@ -178,6 +178,38 @@ def test_variables_refuse_non_ascii_digits(capsys, monkeypatch, name, value):
     code, out, err = run(capsys, "--no-cache", "decompose", "--functor", "burnside", "--n", "2")
     assert code == 2 and out == ""
     assert err.startswith(f"error: {name} must be ") and err.count("\n") == 1
+
+
+# int() also reads underscores, a sign and surrounding blanks; the grammar
+# of every CLI integer is ASCII -?[0-9]+
+
+
+@pytest.mark.parametrize("value", ["1_0", "+3", " 3", "3 "])
+def test_integer_options_take_plain_digits_only(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--no-cache", "split", "--functor", "repring", "--n", value])
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert "argument --n: invalid int value: " in out.err
+
+
+@pytest.mark.parametrize("name", ["GLOBFUN_MAX_GROUP_ORDER", "GLOBFUN_MAX_LATTICE_ORDER"])
+@pytest.mark.parametrize("value", ["+1_0", "1_000", " 100"])
+def test_caps_take_plain_digits_only(capsys, monkeypatch, name, value):
+    monkeypatch.setenv(name, value)
+    code, out, err = run(capsys, "--no-cache", "marks", "--group", "S4")
+    assert code == 2 and out == ""
+    assert err == f"error: {name} must be a positive integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("text", [" 5 .. 6", "5 ..6", "+5..6", "5..6_0", "5.. 6"])
+def test_n_range_ends_take_plain_digits_only(capsys, monkeypatch, text):
+    searched = []
+    monkeypatch.setattr(cli, "non_splitting_witness_alternating", searched.append)
+    code, out, err = run(capsys, "--no-cache", "fusion", "--family", "alternating",
+                         "--n-range", text)
+    assert code == 2 and out == "" and searched == []
+    assert err == f"error: bad --n-range {text!r}, expected like 5..8\n"
 
 
 def test_cap_exceeded_exits_2(capsys, monkeypatch, tmp_path):
@@ -547,16 +579,64 @@ def test_fusion_answers_to_the_table_cap_under_a_group_cap_of_1(capsys, monkeypa
     assert built_orders == []
 
 
-def test_seed_controls_generated_element(capsys, monkeypatch):
-    _, zero, _ = run(capsys, "--no-cache", "decompose", "--functor", "burnside", "--n", "2")
-    _, zero_again, _ = run(capsys, "--no-cache", "decompose", "--functor", "burnside", "--n", "2")
-    assert zero == zero_again
-    _, other, _ = run(capsys, "--no-cache", "--seed", "7", "decompose",
-                      "--functor", "burnside", "--n", "2")
+def test_decompose_seed_controls_generated_element(capsys):
+    argv = ("--no-cache", "decompose", "--functor", "burnside", "--n", "2")
+    _, zero, _ = run(capsys, *argv)
+    assert run(capsys, *argv, "--seed", "0")[1] == zero
+    _, other, _ = run(capsys, *argv, "--seed", "7")
     assert other != zero
-    monkeypatch.setenv("GLOBFUN_SEED", "7")
-    _, via_env, _ = run(capsys, "--no-cache", "decompose", "--functor", "burnside", "--n", "2")
-    assert via_env == other
+    assert run(capsys, *argv, "--seed", "7")[1] == other
+    # the pin CI checks, written with --seed after the subcommand
+    code, out, err = run(capsys, "--no-cache", "--output", "json", "decompose",
+                         "--functor", "repring", "--n", "6", "--seed", "3")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cf066b77e836e48ee32bf845f64dcb7d72b810e810914e0d4f9394eb2560e4c6"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("--seed", "3", "split", "--functor", "repring", "--n", "2"),
+         "invalid choice: '3'"),
+        (("decompose", "--functor", "repring", "--n", "3", "--seed", "3", "--element", "[1,2,3]"),
+         "argument --element: not allowed with argument --seed"),
+        (("--cache-dir", "unused", "--no-cache", "char-table", "--n", "3"),
+         "argument --no-cache: not allowed with argument --cache-dir"),
+    ],
+    ids=["split-seed", "seed-and-element", "cache-dir-and-no-cache"],
+)
+def test_options_without_effect_exit_2_through_argparse(capsys, argv, message):
+    # --seed is read by decompose alone and only without --element; a cache
+    # directory and --no-cache contradict each other
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert message in out.err
+
+
+def test_seed_variable_is_not_read(capsys, monkeypatch):
+    argv = ("--no-cache", "--output", "json", "fusion", "--family", "alternating",
+            "--n-range", "5..6")
+    plain = run(capsys, *argv)
+    assert plain[0] == 0
+    monkeypatch.setenv("GLOBFUN_SEED", "x")
+    assert run(capsys, *argv) == plain
+
+
+@pytest.mark.parametrize(
+    "argv", [argv for argv, _ in SMOKE if argv[0] not in ("marks", "char-table")],
+    ids=lambda argv: argv[0],
+)
+def test_only_table_commands_touch_the_cache(capsys, tmp_path, argv):
+    # seven of the nine commands never open the cache: a directory that
+    # cannot be made gives no warning, and one that can is not made
+    code, out, err = run(capsys, "--cache-dir", "/dev/null/x", *argv)
+    assert code == 0 and err == ""
+    assert run(capsys, "--cache-dir", str(tmp_path / "c"), *argv) == (code, out, err)
+    assert not (tmp_path / "c").exists()
 
 
 def test_unwritable_cache_dir_warns_and_works(capsys):

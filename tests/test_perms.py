@@ -77,6 +77,14 @@ def test_perm_validation():
         Perm.parse("(1 9)", 3)
 
 
+@pytest.mark.parametrize("text", ["(\u0661 2)", "(1 \uff12)", "(1_0 2)", "(+1 2)"])
+def test_perm_parse_reads_points_as_ascii_digits(text):
+    # int() alone reads the Arabic-Indic one, the fullwidth two, an
+    # underscore and a sign; a cycle point is plain digits like any integer
+    with pytest.raises(InvalidPermutationError, match="bad cycle notation"):
+        Perm.parse(text, 10)
+
+
 def test_perm_call_refuses_points_outside_its_degree():
     # a point below 1 used to be read from the end: (0) gave the last image
     p = Perm.parse("(1 2)", 3)
