@@ -18,18 +18,15 @@ SCHEMA_VERSION = 1
 
 
 class Cache:
-    """A directory of JSON entries; silently disabled when unwritable."""
+    """A directory of JSON entries, made if missing; disabled with a warning
+    when it cannot be made.  Opening writes nothing else: a failed write
+    warns in `put`."""
 
-    def __init__(self, root, enabled: bool = True):
-        self.root = Path(root) if root else None
+    def __init__(self, root):
+        self.root = Path(root)
         self.enabled = False
-        if not enabled or self.root is None:
-            return
         try:
             self.root.mkdir(parents=True, exist_ok=True)
-            probe = self.root / ".write-probe"
-            probe.write_text("")
-            probe.unlink()
             self.enabled = True
         except OSError as exc:
             print(f"warning: caching disabled, {exc}", file=sys.stderr)

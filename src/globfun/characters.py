@@ -49,13 +49,19 @@ Partition = tuple[int, ...]
 MAX_TABLE_N = 20
 
 
-@cache
 def partitions(n: int) -> tuple[Partition, ...]:
-    """Partitions of n, reverse lexicographic: (n) first, (1,...,1) last."""
+    """Partitions of n, reverse lexicographic: (n) first, (1,...,1) last.
+
+    The table cap is checked on every call, so a memoized n is refused as
+    soon as the cap is lowered below it."""
     if n < 0:
         raise UsageError("n must be >= 0")
     _check_moved_degree(n)
+    return _partitions(n)
 
+
+@cache
+def _partitions(n: int) -> tuple[Partition, ...]:
     def gen(remaining, biggest):
         if remaining == 0:
             yield ()

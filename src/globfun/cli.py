@@ -81,10 +81,8 @@ def _cached_table(args, artifact: str, key: str, compute, **fields):
     or zero length n, or a matrix row whose length is not n counts as a
     miss, so the table is recomputed and the entry rewritten.
     """
-    root = args.cache_dir if args.cache_dir is not None else os.environ.get(
-        "GLOBFUN_CACHE_DIR", os.path.join(os.path.expanduser("~"), ".cache", "globfun"))
-    cache = Cache(root, enabled=not args.no_cache)
-    payload = cache.get(artifact, key)
+    cache = None if args.no_cache else Cache(_cache_root(args))
+    payload = cache.get(artifact, key) if cache else None
     if (isinstance(payload, dict) and payload.keys() == fields.keys()
             and all(isinstance(v, list) for v in payload.values())):
         n = len(payload["matrix"])
@@ -96,8 +94,21 @@ def _cached_table(args, artifact: str, key: str, compute, **fields):
         if ok and all(len(row) == n for row in payload["matrix"]):
             return payload
     payload = compute()
-    cache.put(artifact, key, payload)
+    if cache:
+        cache.put(artifact, key, payload)
     return payload
+
+
+def _cache_root(args) -> str:
+    """The cache directory: `--cache-dir`, else GLOBFUN_CACHE_DIR, else
+    ~/.cache/globfun.  An empty value is refused, naming where it came from."""
+    root, source = args.cache_dir, "--cache-dir"
+    if root is None:
+        default = os.path.join(os.path.expanduser("~"), ".cache", "globfun")
+        root, source = os.environ.get("GLOBFUN_CACHE_DIR", default), "GLOBFUN_CACHE_DIR"
+    if not root:
+        raise UsageError(f"{source} is empty; give a directory, or --no-cache")
+    return root
 
 
 # each command handler returns (payload, text_lines, ok)

@@ -130,8 +130,8 @@ class GlobalFunctor:
     Subclasses provide _value(G) -> FreeAbelian, _res_matrix(alpha) and
     _tr_matrix(H, G) returning raw integer matrices.  This class owns the
     memo tables (keyed by group image sets and by `GroupHom.key`, and for
-    the splitting layer's kernel bases and psi maps by level), shape
-    checks, and the subgroup precondition on transfers.
+    the splitting layer's kernel bases, psi maps and stacked psi matrices
+    by level), shape checks, and the subgroup precondition on transfers.
 
     The splitting layer reads F along the tower Sym(0) <= Sym(1) <= ...
     only through `tower_value`, `tower_res` and `tower_psi`.  The defaults
@@ -145,9 +145,11 @@ class GlobalFunctor:
         self._value_memo = {}
         self._res_memo = {}
         self._tr_memo = {}
-        # filled by splitting.kernel_basis and splitting.psi
+        # filled by splitting.kernel_basis, splitting.psi and the stacked
+        # psi matrices of splitting._psi_stack
         self._kernel_memo = {}
         self._psi_memo = {}
+        self._stack_memo = {}
 
     def value(self, g: PermGroup) -> FreeAbelian:
         got = self._value_memo.get(g.image_set)

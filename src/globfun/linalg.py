@@ -135,9 +135,18 @@ def integer_kernel(a) -> list[list[int]]:
     return out
 
 
+# the entries of a matrix solve_exact factored -> (H, U, pivots) of its transpose
+_solve_memo: dict = {}
+
+
 def solve_exact(a, bs):
     """For each right-hand side b in `bs`, an integer solution x of A x = b,
-    or None when there is none; one Hermite form serves every b."""
+    or None when there is none; one Hermite form serves every b.
+
+    The Hermite form, transform and pivots are memoized on the entries of A,
+    copied into tuples, so a later solve against an equal matrix factors
+    nothing and changing `a` afterwards changes no later answer.
+    """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(b) != rows for b in bs):
@@ -145,8 +154,12 @@ def solve_exact(a, bs):
     if cols == 0:
         return [None if any(b) else [] for b in bs]
     # x A^T = b as row vectors; with U A^T = H write x = z U, solve z H = b.
-    h, u = hermite_normal_form(transpose(a))
-    pivots = _pivot_columns(h)
+    key = tuple(map(tuple, a))
+    got = _solve_memo.get(key)
+    if got is None:
+        h, u = hermite_normal_form(transpose(a))
+        got = _solve_memo[key] = (h, u, _pivot_columns(h))
+    h, u, pivots = got
     return [_solve_hermite(h, u, pivots, b) for b in bs]
 
 

@@ -14,6 +14,7 @@ Sym(MAX_TABLE_N) is refused before any Pieri matrix is built.
 """
 
 from .characters import (
+    _check_moved_degree,
     character_table,
     decompose_into_irreducibles,
     induce_classfunction,
@@ -27,6 +28,10 @@ from .linalg import transpose
 
 class RepRingFunctor(GlobalFunctor):
     name = "ru"
+
+    def __init__(self):
+        super().__init__()
+        self._tower_memo = {}
 
     def _value(self, g) -> FreeAbelian:
         return FreeAbelian(character_table(g).labels)
@@ -49,8 +54,13 @@ class RepRingFunctor(GlobalFunctor):
 
     def tower_value(self, n):
         # one block, so one partition per label; Sym(0) is realised on one
-        # point, like Sym(1), so its label is the partition (1)
-        return FreeAbelian((lam,) for lam in partitions(n or 1))
+        # point, like Sym(1), so its label is the partition (1).  Each level
+        # is built once, and the table cap is read on every call
+        _check_moved_degree(n)
+        got = self._tower_memo.get(n)
+        if got is None:
+            got = self._tower_memo[n] = FreeAbelian((lam,) for lam in partitions(n or 1))
+        return got
 
     def tower_res(self, n):
         return transpose(pieri_matrix(n - 1, n))

@@ -9,8 +9,11 @@ and psi(n, n) the plain inclusion.  Stacking the psi columns gives a square
 matrix, and the splitting statement is that it is unimodular: F(Sym(n)) is
 the direct sum of the kernel lattices.  decompose inverts this sum level by
 level, and verify_dcf_symmetric checks the double coset identity that makes
-the induction step work.  kernel_basis and psi are memoized on the functor
-instance, keyed by level, so repeated decompositions build each map once.
+the induction step work.  kernel_basis, psi and the psi maps of one level
+stacked side by side are memoized on the functor instance, keyed by level,
+and `linalg.solve_exact` keeps the Hermite form of each kernel basis it
+solves against, so a repeated decomposition builds and factors nothing: it
+restricts, applies one stacked matrix per level and solves.
 
 Kernels, psi maps and splitting_report read the functor only through its
 tower maps (`GlobalFunctor.tower_value`, `tower_res`, `tower_psi`).  For
@@ -27,6 +30,8 @@ and every n >= 9, up to the table cap.  Each fused pair comes with an even
 conjugator and the parity key that separates its halves, checked in O(n).
 """
 
+from itertools import chain
+
 from .characters import _check_moved_degree, partitions
 from .errors import MathCheckError, UsageError
 from .functors import FreeAbelian, GlobalFunctor, ZMap
@@ -36,6 +41,7 @@ from .linalg import (
     integer_kernel,
     mat_eq,
     mat_mul,
+    mat_vec,
     solve_exact,
     transpose,
 )
@@ -211,9 +217,7 @@ def splitting_report(f: GlobalFunctor, n: int) -> SplittingReport:
         raise MathCheckError(
             f"kernel ranks {[len(b) for b in bases]} do not add up to {value_rank}"
         )
-    assembled = [
-        [x for p in psis for x in p.matrix[i]] for i in range(value_rank)
-    ]
+    assembled = _psi_stack(f, n, n + 1)[0]
     det = det_exact(assembled)
     if abs(det) != 1:
         raise MathCheckError(f"assembled splitting matrix has determinant {det}")
@@ -271,8 +275,25 @@ def reassemble(f: GlobalFunctor, n: int, components):
 def _psi_sum(f: GlobalFunctor, n: int, parts):
     """The sum over k of psi(k, n) applied to parts[k], a vector of F(Sym(n));
     parts holds at least the k = 0 slot."""
-    images = [psi(f, k, n).apply(part) for k, part in enumerate(parts)]
-    return [sum(col) for col in zip(*images)]
+    matrix, widths = _psi_stack(f, n, len(parts))
+    if any(len(part) != w for part, w in zip(parts, widths)):
+        raise UsageError("vector length does not match source rank")
+    # mat_vec stops at the end of the vector: the columns of these slots
+    return mat_vec(matrix, [v for part in parts for v in part])
+
+
+def _psi_stack(f: GlobalFunctor, n: int, m: int):
+    """The matrices of psi(k, n) side by side for at least the slots k < m,
+    with the width of each block.  One per level, memoized on the functor
+    and rebuilt only when a caller needs more slots; a caller with fewer
+    reads the leading columns, so the section route, which passes the slots
+    below the top, never builds psi(n, n) or its kernel."""
+    got = f._stack_memo.get(n)
+    if got is None or len(got[1]) < m:
+        maps = [psi(f, k, n) for k in range(m)]
+        rows = tuple(tuple(chain.from_iterable(r)) for r in zip(*(p.matrix for p in maps)))
+        got = f._stack_memo[n] = (rows, tuple(p.source.rank for p in maps))
+    return got
 
 
 # ---------------------------------------------------------------------------

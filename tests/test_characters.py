@@ -7,6 +7,7 @@ scratch; orthogonality is checked from the definition with exact integers.
 """
 
 from collections import Counter
+from functools import cache
 from itertools import product
 
 import pytest
@@ -441,3 +442,22 @@ def test_table_cap():
     # the same cap bounds the partitions that the tables and the RU tower read
     with pytest.raises(UnsupportedGroupError, match=r"^table for moved degree 21 exceeds cap 20$"):
         partitions(21)
+
+
+def test_memoized_partitions_still_read_the_table_cap(monkeypatch):
+    # a memo hit, in partitions or in the RU tower basis built from it, is
+    # refused under a lowered cap exactly as a cold call is
+    f = RepRingFunctor()
+    assert len(partitions(6)) == f.tower_value(6).rank == 11
+    monkeypatch.setattr(characters, "MAX_TABLE_N", 5)
+    refusals = []
+    for call in (lambda: partitions(6), lambda: f.tower_value(6)):
+        with pytest.raises(UnsupportedGroupError) as hit:
+            call()
+        refusals.append(hit.value)
+    monkeypatch.setattr(characters, "_partitions", cache(characters._partitions.__wrapped__))
+    with pytest.raises(UnsupportedGroupError) as cold:
+        partitions(6)
+    assert {(type(e), str(e)) for e in refusals + [cold.value]} == {
+        (UnsupportedGroupError, "table for moved degree 6 exceeds cap 5")}
+    assert len(partitions(5)) == f.tower_value(5).rank == 7

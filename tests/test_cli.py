@@ -639,6 +639,43 @@ def test_only_table_commands_touch_the_cache(capsys, tmp_path, argv):
     assert not (tmp_path / "c").exists()
 
 
+def test_warm_table_run_writes_and_unlinks_nothing(capsys, tmp_path, monkeypatch):
+    # opening the cache makes its directory and nothing else: a warm run
+    # only reads, and a failed write is reported by put, not probed for
+    assert run(capsys, "--cache-dir", str(tmp_path), "char-table", "--n", "3")[0] == 0
+    calls = []
+    for name in ("write_text", "write_bytes", "unlink", "replace", "rename", "touch"):
+        original = getattr(Path, name)
+
+        def spy(self, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, self.name))
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, name, spy)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code, out, err = run(capsys, "--cache-dir", str(tmp_path), "char-table", "--n", "3")
+    assert (code, err) == (0, "") and "character table of S3" in out
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [("marks", "--group", "S3"), ("char-table", "--n", "3")],
+                         ids=lambda argv: argv[0])
+def test_empty_cache_dir_is_a_usage_error(capsys, tmp_path, monkeypatch, argv):
+    # an empty directory used to turn the cache off without a word
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "--cache-dir", "", *argv) == (
+        2, "", "error: --cache-dir is empty; give a directory, or --no-cache\n")
+    monkeypatch.setenv("GLOBFUN_CACHE_DIR", "")
+    assert run(capsys, *argv) == (
+        2, "", "error: GLOBFUN_CACHE_DIR is empty; give a directory, or --no-cache\n")
+    # the option wins over the variable, and --no-cache reads neither
+    assert run(capsys, "--cache-dir", str(tmp_path / "c"), *argv)[0] == 0
+    assert (tmp_path / "c").is_dir()
+    assert run(capsys, "--no-cache", *argv)[0] == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c"]
+
+
 def test_unwritable_cache_dir_warns_and_works(capsys):
     code, out, err = run(capsys, "--cache-dir", "/proc/nope", "char-table", "--n", "3")
     assert code == 0

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from globfun import linalg
 from globfun.linalg import (
     det_exact,
     hermite_normal_form,
@@ -133,6 +134,42 @@ def test_solve_exact():
     assert solve_exact([[0, 0]], [[1]]) == [None]
     with pytest.raises(ValueError, match="dimension mismatch"):
         solve_exact(a, [[4, 9], [1]])
+
+
+def test_solve_memo_hit_matches_a_cold_solve(monkeypatch):
+    # a repeat solve reads the memoized Hermite form and factors nothing, and
+    # gives the cold answers, None for a right-hand side off the lattice
+    factored = []
+    hnf = linalg.hermite_normal_form
+    monkeypatch.setattr(linalg, "hermite_normal_form", lambda a: factored.append(a) or hnf(a))
+    rng = random.Random(12)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = random_matrix(rng, rows, cols)
+        bs = [mat_vec(a, [rng.randint(-5, 5) for _ in range(cols)]) for _ in range(2)]
+        bs.append([rng.randint(-9, 9) for _ in range(rows)])
+        monkeypatch.setattr(linalg, "_solve_memo", {})
+        cold = solve_exact(a, bs)
+        assert len(factored) == 1
+        assert solve_exact(a, bs) == cold
+        assert solve_exact([list(r) for r in a], bs[::-1]) == cold[::-1]
+        assert len(factored) == 1
+        factored.clear()
+    a = [[2, 0], [0, 3]]
+    assert solve_exact(a, [[1, 0], [4, 9]]) == solve_exact(a, [[1, 0], [4, 9]]) == [None, [2, 3]]
+
+
+def test_solve_ignores_later_changes_to_a_solved_matrix():
+    a = [[2, 0], [0, 3]]
+    assert solve_exact(a, [[1, 0]]) == [None]
+    a[0][0] = 1
+    assert solve_exact(a, [[1, 0]]) == [[1, 0]]
+    a[0][0] = 2
+    assert solve_exact(a, [[1, 0], [4, 9]]) == [None, [2, 3]]
+    # each answer is a fresh list: changing one changes no later answer
+    [x] = solve_exact(a, [[4, 9]])
+    x[0] = 99
+    assert solve_exact(a, [[4, 9]]) == [[2, 3]]
 
 
 def test_solve_random_consistency():

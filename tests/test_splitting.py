@@ -35,6 +35,7 @@ from globfun.splitting import (
 )
 from globfun import characters, perms, repring, subgroups
 from globfun.characters import partitions
+from globfun.linalg import hermite_normal_form, mat_vec
 from globfun.perms import (
     PermGroup,
     _pairs_sharing_key,
@@ -326,6 +327,81 @@ def test_decompose_validates_length():
         decompose(BurnsideFunctor(), 2, (1, 2, 3))
     with pytest.raises(UsageError):
         reassemble(BurnsideFunctor(), 2, [(1,), (2,)])
+    # every component must have its kernel's rank, (1,), () and (1,) here
+    for bad in ([(1,), (), (1, 2)], [(1,), (1,), (1,)], [(), (), (1,)]):
+        with pytest.raises(UsageError, match="does not match source rank"):
+            reassemble(BurnsideFunctor(), 2, bad)
+
+
+# The reference route: decompose and reassemble as first written, with each
+# psi map applied on its own and each top kernel solved through a Hermite
+# form computed for that call, so no stacked matrix and no solve memo.
+
+
+def _fresh_solve(rows, b):
+    """Integer c with sum_i c_i rows[i] = b, or None: U rows = H, solve z H = b
+    down the pivots, then c = z U."""
+    h, u = hermite_normal_form(rows)
+    z, rem = [0] * len(rows), list(b)
+    for r, row in enumerate(h):
+        c = next((j for j, v in enumerate(row) if v), None)
+        if c is None:
+            break
+        z[r], left = divmod(rem[c], row[c])
+        if left:
+            return None
+        rem = [x - z[r] * v for x, v in zip(rem, row)]
+    if any(rem):
+        return None
+    return [sum(zi * urow[j] for zi, urow in zip(z, u)) for j in range(len(rows))]
+
+
+def _reference_psi_sum(f, n, parts):
+    total = (0,) * f.tower_value(n).rank
+    for k, part in enumerate(parts):
+        total = tuple(t + v for t, v in zip(total, psi(f, k, n).apply(part)))
+    return total
+
+
+def _reference_decompose(f, n, x):
+    if n == 0:
+        return (tuple(x),)
+    below = _reference_decompose(f, n - 1, mat_vec(f.tower_res(n), x))
+    residual = [a - b for a, b in zip(x, _reference_psi_sum(f, n, below))]
+    top = _fresh_solve(kernel_basis(f, n), residual)
+    assert top is not None
+    return below + (tuple(top),)
+
+
+@pytest.mark.parametrize("maker,n_max", [(RepRingFunctor, 7), (BurnsideFunctor, 4)])
+def test_decompose_and_reassemble_equal_the_reference_route(maker, n_max):
+    f = maker()
+    rng = random.Random(30)
+    for n in range(n_max + 1):
+        rank = f.tower_value(n).rank
+        widths = [len(kernel_basis(f, k)) for k in range(n + 1)]
+        for _ in range(6):
+            x = tuple(rng.randrange(-20, 21) for _ in range(rank))
+            assert decompose(f, n, x) == _reference_decompose(f, n, x)
+            parts = tuple(tuple(rng.randrange(-20, 21) for _ in range(w)) for w in widths)
+            assert reassemble(f, n, parts) == _reference_psi_sum(f, n, parts)
+            assert decompose(f, n, _reference_psi_sum(f, n, parts)) == parts
+
+
+def test_psi_sum_below_the_top_builds_no_top_slot():
+    # the section route passes the n slots below the top, k < n: the stacked
+    # matrix it reads holds no psi(n, n) and asks for no top kernel
+    f = RepRingFunctor()
+    parts = [tuple(range(1, len(kernel_basis(f, k)) + 1)) for k in range(5)]
+    got = splitting._psi_sum(f, 5, parts)
+    assert (5, 5) not in f._psi_memo and 5 not in f._kernel_memo
+    assert tuple(got) == _reference_psi_sum(f, 5, parts)
+    # reassemble widens the level's one matrix, and the lower slots then read
+    # its leading columns
+    full = parts + [(1, -1)]
+    assert reassemble(f, 5, full) == _reference_psi_sum(f, 5, full)
+    assert list(f._stack_memo) == [5] and len(f._stack_memo[5][1]) == 6
+    assert tuple(splitting._psi_sum(f, 5, parts)) == tuple(got)
 
 
 @pytest.mark.parametrize("maker,n_max", [(RepRingFunctor, 6), (BurnsideFunctor, 4)])
@@ -384,7 +460,9 @@ def test_memo_keys_hold_no_group():
     splitting_report(functors[1], 4)
     memos = [characters._table_memo, characters._fusion_memo, subgroups._lattice_memo]
     for f in functors:
-        memos += [f._value_memo, f._res_memo, f._tr_memo, f._kernel_memo, f._psi_memo]
+        memos += [f._value_memo, f._res_memo, f._tr_memo, f._kernel_memo, f._psi_memo,
+                  f._stack_memo]
+    memos.append(functors[0]._tower_memo)
     for memo in memos:
         assert memo
         assert not any(map(_holds_group, memo))
