@@ -21,14 +21,42 @@ collapses to one sum: composing (J <= Z, beta: J -> Y) after
 (H <= Y, alpha: H -> X) gives, over representatives y of beta(J)\\Y/H,
 the pairs (beta^{-1}(yHy^{-1}) <= Z, x |-> alpha(y^{-1} beta(x) y)).
 
-section_of_restriction inverts composition-with-i_n^* on the identity; any
-preimage is a section, and the kernel-reduced solution plus a second one
-assembled from the splitting machinery are returned and verified.
+section_of_restriction returns two right inverses of R_n, the restriction
+along i_n: Sym(n-1) -> Sym(n) read as a morphism from Sym(n) to Sym(n-1),
+and checks each by composing.  The solver inverts composition with R_n on
+the identity over the basis of morphisms from Sym(n-1) to Sym(n).  The
+splitting section needs no basis.  Write Psi_{k,m}: Sym(k) -> Sym(m) for
+restriction along the projection of Sym(k) x Sym(m-k) onto Sym(k) followed
+by transfer, with Psi_{0,m} restriction along Sym(m) -> e and Psi_{m,m} the
+identity (`functors.psi_span` names the span).  Define
+E_k^{(m)}: Sym(m) -> Sym(k) by
+
+    E_0^{(0)} = id,
+    E_k^{(m)} = E_k^{(m-1)} o R_m                          for k < m,
+    E_m^{(m)} = id - sum over j < m of Psi_{j,m} o E_j^{(m)},
+
+and S_n = sum over k < n of Psi_{k,n} o E_k^{(n-1)}.  Then R_n o S_n = id.
+The double coset formula gives R_n o Psi_{j,n} = Psi_{j,n-1} +
+Psi_{j-1,n-1} o R_j for 0 < j < n, and R_n o Psi_{0,n} = Psi_{0,n-1}.
+Induct on n, assuming R_j o E_j^{(j)} = 0 for every j < n:
+
+* the second term dies after E_j^{(j)}, which gives the ladder
+  R_n o Psi_{j,n} o E_j^{(j)} = Psi_{j,n-1} o E_j^{(j)} for every j < n;
+* E_k^{(n-1)} is E_k^{(k)} followed by restrictions, so the ladder turns
+  R_n o S_n into sum over k < n-1 of Psi_{k,n-1} o E_k^{(n-1)} plus
+  E_{n-1}^{(n-1)}, which is id by the definition of E_{n-1}^{(n-1)};
+* E_k^{(n)} = E_k^{(n-1)} o R_n for k < n, so E_n^{(n)} = id - S_n o R_n
+  and R_n o E_n^{(n)} = R_n - (R_n o S_n) o R_n = 0, the hypothesis at n.
+
+So F(S_n) is a right inverse of F(i_n) in every global functor F at once;
+`splitting.decompose` runs the same recursion on one functor's vectors.
+Here each E_k^{(m)} is built once from identity, restriction, transfer,
+compose and sum, so the section builds no morphism basis and no lattice.
 """
 
 from .errors import MathCheckError, UsageError
-from .functors import GlobalFunctor, FreeAbelian, ZMap
-from .linalg import identity_matrix, integer_kernel, reduce_mod_lattice, solve_exact
+from .functors import GlobalFunctor, FreeAbelian, ZMap, psi_span
+from .linalg import integer_kernel, reduce_mod_lattice, solve_exact
 from .perms import (
     GroupHom,
     Perm,
@@ -42,6 +70,7 @@ from .perms import (
     normalizer,
     product_group,
     standard_inclusion,
+    symmetric_group,
     all_homs,
 )
 from .subgroups import subgroup_classes
@@ -50,6 +79,8 @@ from .subgroups import subgroup_classes
 _least_conjugate_memo: dict = {}
 # source.image_set -> y |-> k y k^-1 for k over the sorted source elements
 _source_conjugators_memo: dict = {}
+# (k, m) -> E_k^{(m)}, the morphism Sym(m) -> Sym(k) of the splitting formula
+_projection_memo: dict = {}
 
 
 class CanonicalPair:
@@ -277,7 +308,7 @@ class RepresentedFunctor(GlobalFunctor):
 
     Restriction and transfer act by composing with the corresponding
     category morphisms, so this instance routes everything through compose
-    and gives the splitting machinery a hold on morphism groups themselves.
+    and gives the section solver a hold on morphism groups themselves.
     """
 
     def __init__(self, l_group: PermGroup):
@@ -302,20 +333,14 @@ class RepresentedFunctor(GlobalFunctor):
             vec[index[key]] = m.terms[key][1]
         return vec
 
-    def _as_morphism(self, g: PermGroup, vec) -> BurnsideCatMorphism:
-        basis = self.basis(g)
-        return BurnsideCatMorphism(
-            self.l_group, g, [(p, c) for p, c in zip(basis, vec)]
-        )
-
     def _value(self, g):
         return FreeAbelian(tuple(p.label() for p in self.basis(g)))
 
     def _composition_matrix(self, m: BurnsideCatMorphism, src, dst):
         """The matrix of composing with m, from the basis at src to the one at dst."""
         cols = [
-            self._coords(m.compose(self._as_morphism(src, unit)), dst)
-            for unit in identity_matrix(len(self.basis(src)))
+            self._coords(m.compose(BurnsideCatMorphism(self.l_group, src, [(p, 1)])), dst)
+            for p in self.basis(src)
         ]
         return [list(row) for row in zip(*cols)] if cols else [[] for _ in self.basis(dst)]
 
@@ -363,11 +388,11 @@ def section_of_restriction(n: int) -> SectionReport:
 
     Solves the integer system over the basis of morphisms from Sym(n-1) to
     Sym(n) and reduces the solution modulo the kernel lattice so the answer
-    is deterministic.  A second section is assembled from the level-by-level
-    decomposition of the identity in the represented functor, which shares
-    its morphism bases with the solver; both composites are checked against
-    the identity morphism, exactly.  Every group it builds meets the group
-    cap, and every subgroup lattice the lattice cap (`errors._cap`).
+    is deterministic.  The second section is S_n of the splitting formula
+    (module docstring), which needs no basis; both composites are checked
+    against the identity morphism, exactly.  Every group it builds meets
+    the group cap, and every subgroup lattice the lattice cap
+    (`errors._cap`).
     """
     if n < 1:
         raise UsageError("n must be >= 1")
@@ -387,20 +412,40 @@ def section_of_restriction(n: int) -> SectionReport:
     if not istar.compose(sigma) == ident:
         raise MathCheckError("solver produced a non-section")
 
-    sigma_split = _section_from_splitting(rep, cur)
+    sigma_split = _section_from_splitting(n)
     if not istar.compose(sigma_split) == ident:
         raise MathCheckError("splitting route produced a non-section")
     return SectionReport(n, sigma, sigma_split, len(basis))
 
 
-def _section_from_splitting(rep: RepresentedFunctor, cur: PermGroup) -> BurnsideCatMorphism:
-    """Decompose the identity one level down and push the slots back up to
-    cur = Sym(n)."""
-    from .splitting import _psi_sum, decompose
+def _section_from_splitting(n: int) -> BurnsideCatMorphism:
+    """S_n: Sym(n-1) -> Sym(n), the sum over k < n of Psi_{k,n} o E_k^{(n-1)}."""
+    terms = []
+    for k in range(n):
+        h, alpha = psi_span(k, n)
+        psi = BurnsideCatMorphism.restriction(alpha)
+        if k:
+            psi = BurnsideCatMorphism.transfer(h, symmetric_group(n)).compose(psi)
+        terms.append(psi.compose(_projection(k, n - 1)))
+    return sum(terms[1:], terms[0])
 
-    prev = rep.l_group
-    parts = decompose(rep, cur.degree - 1, rep._coords(BurnsideCatMorphism.identity(prev), prev))
-    return rep._as_morphism(cur, _psi_sum(rep, cur.degree, parts))
+
+def _projection(k: int, m: int) -> BurnsideCatMorphism:
+    """E_k^{(m)}: Sym(m) -> Sym(k), built once per (k, m); E_m^{(m)} = id - S_m o R_m."""
+    got = _projection_memo.get((k, m))
+    if got is None:
+        if m == 0:
+            got = BurnsideCatMorphism.identity(symmetric_group(0))
+        else:
+            down = BurnsideCatMorphism.restriction(standard_inclusion(m))
+            if k < m:
+                got = _projection(k, m - 1).compose(down)
+            else:
+                lower = _section_from_splitting(m).compose(down)
+                got = BurnsideCatMorphism.identity(down.source) + BurnsideCatMorphism(
+                    down.source, down.source, [(p, -c) for p, c in lower.terms.values()])
+        _projection_memo[(k, m)] = got
+    return got
 
 
 def _on_second_factor(source: PermGroup, target: PermGroup, d: int, f: GroupHom) -> GroupHom:

@@ -186,14 +186,11 @@ class GlobalFunctor:
         return self.res(standard_inclusion(n)).matrix
 
     def tower_psi(self, k: int, n: int):
-        """The matrix of F(Sym(k)) -> F(Sym(n)) that restricts along the block
-        projection Sym(k) x Sym(n-k) -> Sym(k) and transfers up; at k = 0,
-        restriction along Sym(n) -> e."""
-        if k == 0:
-            return self.res(terminal_hom(symmetric_group(n))).matrix
-        y = young_two_block(n, k)
-        inflate = self.res(restrict_to_block(y, range(1, k + 1))).matrix
-        return mat_mul(self.tr(y, symmetric_group(n)).matrix, inflate)
+        """The matrix of F(Sym(k)) -> F(Sym(n)) that restricts along the map
+        `psi_span(k, n)` names and transfers up."""
+        h, alpha = psi_span(k, n)
+        inflate = self.res(alpha).matrix
+        return mat_mul(self.tr(h, symmetric_group(n)).matrix, inflate) if k else inflate
 
     def _value(self, g: PermGroup) -> FreeAbelian:
         raise NotImplementedError
@@ -235,6 +232,17 @@ def terminal_hom(g: PermGroup) -> GroupHom:
     """The unique homomorphism onto the trivial group (degree-1 model)."""
     e = symmetric_group(1)
     return GroupHom(g, e, [e.identity] * len(g.generators))
+
+
+def psi_span(k: int, n: int):
+    """(H <= Sym(n), alpha: H -> Sym(k)) with psi(k, n) = tr(H) o F(alpha): H
+    keeps the first k points together and alpha projects onto them; at k = 0,
+    H is Sym(n) and alpha the map onto e, and psi(0, n) is F(alpha) alone."""
+    if k == 0:
+        g = symmetric_group(n)
+        return g, terminal_hom(g)
+    h = young_two_block(n, k)
+    return h, restrict_to_block(h, range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------

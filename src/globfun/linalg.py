@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from operator import mul
 
+from .errors import UsageError
+
 
 def zeros(rows: int, cols: int) -> list[list[int]]:
     return [[0] * cols for _ in range(rows)]
@@ -150,13 +152,15 @@ def solve_exact(a, bs):
     rows = len(a)
     cols = len(a[0]) if rows else 0
     if any(len(b) != rows for b in bs):
-        raise ValueError("dimension mismatch")
-    if cols == 0:
+        raise UsageError("dimension mismatch")
+    if cols == 0 and not any(a):
         return [None if any(b) else [] for b in bs]
     # x A^T = b as row vectors; with U A^T = H write x = z U, solve z H = b.
     key = tuple(map(tuple, a))
     got = _solve_memo.get(key)
     if got is None:
+        if any(len(row) != cols for row in key):
+            raise UsageError("matrix rows differ in length")
         h, u = hermite_normal_form(transpose(a))
         got = _solve_memo[key] = (h, u, _pivot_columns(h))
     h, u, pivots = got
@@ -205,7 +209,7 @@ def det_exact(a) -> int:
     if n == 0:
         return 1
     if any(len(row) != n for row in a):
-        raise ValueError("determinant needs a square matrix")
+        raise UsageError("determinant needs a square matrix")
     m = [list(r) for r in a]
     sign = 1
     prev = 1

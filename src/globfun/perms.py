@@ -434,6 +434,8 @@ def _check_order_factors(factors, *whats):
 def symmetric_group(n: int) -> PermGroup:
     """Sym(n) on {1..n}, once n! meets the group cap; n = 0 and n = 1 are
     both the trivial group on one point."""
+    if type(n) is not int:
+        raise UsageError(f"n must be an integer, got {n!r}")
     if n < 0:
         raise UsageError("n must be >= 0")
     _check_order_factors(range(2, n + 1), "group order")

@@ -22,6 +22,7 @@ from .characters import (
     pieri_matrix,
     restrict_classfunction,
 )
+from .errors import UsageError
 from .functors import FreeAbelian, GlobalFunctor
 from .linalg import transpose
 
@@ -63,6 +64,8 @@ class RepRingFunctor(GlobalFunctor):
         return got
 
     def tower_res(self, n):
+        if n < 1:
+            raise UsageError("n must be >= 1")  # as standard_inclusion says it
         return transpose(pieri_matrix(n - 1, n))
 
     def tower_psi(self, k, n):

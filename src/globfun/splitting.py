@@ -9,11 +9,12 @@ and psi(n, n) the plain inclusion.  Stacking the psi columns gives a square
 matrix, and the splitting statement is that it is unimodular: F(Sym(n)) is
 the direct sum of the kernel lattices.  decompose inverts this sum level by
 level, and verify_dcf_symmetric checks the double coset identity that makes
-the induction step work.  kernel_basis, psi and the psi maps of one level
-stacked side by side are memoized on the functor instance, keyed by level,
-and `linalg.solve_exact` keeps the Hermite form of each kernel basis it
-solves against, so a repeated decomposition builds and factors nothing: it
-restricts, applies one stacked matrix per level and solves.
+the induction step work (`burncat` runs the same recursion on morphisms).
+kernel_basis, psi and the n + 1 psi maps of level n side by side are
+memoized on the functor instance, keyed by level, and `linalg.solve_exact`
+keeps the Hermite form of each kernel basis it solves against, so a repeated
+decomposition builds and factors nothing: it restricts, applies one stacked
+matrix per level and solves.
 
 Kernels, psi maps and splitting_report read the functor only through its
 tower maps (`GlobalFunctor.tower_value`, `tower_res`, `tower_psi`).  For
@@ -217,7 +218,7 @@ def splitting_report(f: GlobalFunctor, n: int) -> SplittingReport:
         raise MathCheckError(
             f"kernel ranks {[len(b) for b in bases]} do not add up to {value_rank}"
         )
-    assembled = _psi_stack(f, n, n + 1)[0]
+    assembled = _psi_stack(f, n)[0]
     det = det_exact(assembled)
     if abs(det) != 1:
         raise MathCheckError(f"assembled splitting matrix has determinant {det}")
@@ -244,7 +245,7 @@ def decompose(f: GlobalFunctor, n: int, x):
     the top kernel.  The top residue failing the lattice membership test
     would contradict the splitting, so it raises.
     """
-    x = tuple(int(v) for v in x)
+    x = _int_vector(x)
     if len(x) != f.tower_value(n).rank:
         raise UsageError("vector length does not match the functor value rank")
     if n == 0:
@@ -266,31 +267,37 @@ def decompose(f: GlobalFunctor, n: int, x):
 
 def reassemble(f: GlobalFunctor, n: int, components):
     """Inverse of decompose: sum the psi images of the components."""
-    components = tuple(tuple(c) for c in components)
+    components = tuple(map(_int_vector, components))
     if len(components) != n + 1:
         raise UsageError(f"expected {n + 1} components, got {len(components)}")
     return tuple(_psi_sum(f, n, components))
 
 
+def _int_vector(x):
+    """x as a tuple; UsageError unless each entry's type is int, as for --element."""
+    x = tuple(x)
+    if any(type(v) is not int for v in x):
+        raise UsageError("vector entries must be integers")
+    return x
+
+
 def _psi_sum(f: GlobalFunctor, n: int, parts):
     """The sum over k of psi(k, n) applied to parts[k], a vector of F(Sym(n));
     parts holds at least the k = 0 slot."""
-    matrix, widths = _psi_stack(f, n, len(parts))
+    matrix, widths = _psi_stack(f, n)
     if any(len(part) != w for part, w in zip(parts, widths)):
         raise UsageError("vector length does not match source rank")
     # mat_vec stops at the end of the vector: the columns of these slots
     return mat_vec(matrix, [v for part in parts for v in part])
 
 
-def _psi_stack(f: GlobalFunctor, n: int, m: int):
-    """The matrices of psi(k, n) side by side for at least the slots k < m,
-    with the width of each block.  One per level, memoized on the functor
-    and rebuilt only when a caller needs more slots; a caller with fewer
-    reads the leading columns, so the section route, which passes the slots
-    below the top, never builds psi(n, n) or its kernel."""
+def _psi_stack(f: GlobalFunctor, n: int):
+    """The matrices of psi(k, n) for k = 0..n side by side, with the width of
+    each block.  Built once per level and memoized on the functor; decompose
+    passes the slots below the top and reads the leading columns."""
     got = f._stack_memo.get(n)
-    if got is None or len(got[1]) < m:
-        maps = [psi(f, k, n) for k in range(m)]
+    if got is None:
+        maps = [psi(f, k, n) for k in range(n + 1)]
         rows = tuple(tuple(chain.from_iterable(r)) for r in zip(*(p.matrix for p in maps)))
         got = f._stack_memo[n] = (rows, tuple(p.source.rank for p in maps))
     return got

@@ -10,7 +10,7 @@ import random
 
 import pytest
 
-from globfun import burncat
+from globfun import burncat, burnside, subgroups
 from globfun.burncat import (
     BurnsideCatMorphism,
     CanonicalPair,
@@ -24,6 +24,7 @@ from globfun.burncat import (
 from globfun.burnside import BurnsideFunctor
 from globfun.errors import CapExceededError, MathCheckError, UsageError
 from globfun.functors import standard_probe, verify_axioms
+from globfun.splitting import decompose, kernel_basis, reassemble
 from globfun.perms import (
     GroupHom,
     Perm,
@@ -444,7 +445,7 @@ def test_section_honours_lattice_cap(monkeypatch):
 @pytest.mark.parametrize("name,wrong,message", [
     ("solve_exact", lambda matrix, rhs: [None], "not onto the identity"),
     ("reduce_mod_lattice", lambda x, kernel: [2 * v for v in x], "solver produced a non-section"),
-    ("_section_from_splitting", lambda rep, cur: BurnsideCatMorphism(rep.l_group, cur),
+    ("_section_from_splitting", lambda n: BurnsideCatMorphism(S[n - 1], S[n]),
      "splitting route produced a non-section"),
 ])
 def test_section_rejects_a_wrong_answer(monkeypatch, name, wrong, message):
@@ -476,3 +477,67 @@ def test_product_section_trivial_factor():
 def test_section_rejects_bad_n():
     with pytest.raises(UsageError):
         section_of_restriction(0)
+
+
+# The splitting section from the formula of the module docstring, against the
+# route globfun first took, and against two wrong formulas.
+
+
+def _section_through_the_represented_functor(n):
+    """S_n the long way: decompose the identity of Sym(n-1) one level down in
+    the functor Sym(n-1) represents, and reassemble at Sym(n) with a zero top
+    slot."""
+    prev, cur = symmetric_group(n - 1), symmetric_group(n)
+    rep = RepresentedFunctor(prev)
+    ident = BurnsideCatMorphism.identity(prev).terms
+    parts = decompose(rep, n - 1, [int(p.key in ident) for p in rep.basis(prev)])
+    vec = reassemble(rep, n, parts + ((0,) * len(kernel_basis(rep, n)),))
+    return BurnsideCatMorphism(prev, cur, list(zip(rep.basis(cur), vec)))
+
+
+def _restriction_undoes(n, sigma):
+    inc = standard_inclusion(n)
+    return BurnsideCatMorphism.restriction(inc).compose(sigma) == \
+        BurnsideCatMorphism.identity(inc.source)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_section_formula_equals_the_represented_functor_route(n):
+    got = burncat._section_from_splitting(n)
+    want = _section_through_the_represented_functor(n)
+    assert got == want
+    assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_section_formula_is_a_section(n):
+    assert _restriction_undoes(n, burncat._section_from_splitting(n))
+
+
+def test_section_formula_builds_no_basis_and_no_lattice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the formula built a basis or a lattice")
+
+    monkeypatch.setattr(burncat, "_projection_memo", {})
+    monkeypatch.setattr(burncat, "morphism_basis", refuse)
+    for module in (burncat, subgroups, burnside):
+        monkeypatch.setattr(module, "subgroup_classes", refuse)
+    for n in range(1, 6):
+        assert _restriction_undoes(n, burncat._section_from_splitting(n))
+    assert set(burncat._projection_memo) == {(k, m) for m in range(5) for k in range(m + 1)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_section_formula_with_one_coefficient_bumped_is_no_section(n):
+    good = burncat._section_from_splitting(n)
+    for pair, _ in good.terms.values():
+        bumped = good + BurnsideCatMorphism(good.source, good.target, [(pair, 1)])
+        assert not _restriction_undoes(n, bumped), pair
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_section_formula_without_the_top_correction_is_no_section(monkeypatch, n):
+    # E_m^{(m)} taken as the plain identity instead of id - sum Psi o E
+    plain = {(m, m): BurnsideCatMorphism.identity(symmetric_group(m)) for m in range(n)}
+    monkeypatch.setattr(burncat, "_projection_memo", plain)
+    assert not _restriction_undoes(n, burncat._section_from_splitting(n))

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from globfun import linalg
+from globfun.errors import UsageError
 from globfun.linalg import (
     det_exact,
     hermite_normal_form,
@@ -132,8 +133,24 @@ def test_solve_exact():
     assert solve_exact(a, []) == []
     assert solve_exact([[1, 1]], [[5]]) != [None]
     assert solve_exact([[0, 0]], [[1]]) == [None]
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(UsageError, match="dimension mismatch"):
         solve_exact(a, [[4, 9], [1]])
+
+
+@pytest.mark.parametrize("a", [[[1, 2], [3]], [[], [1]], [[1], [2, 3]]])
+def test_solve_refuses_ragged_rows(monkeypatch, a):
+    # a short row would read as a missing equation, and the None that came
+    # back read as "no integer solution"
+    monkeypatch.setattr(linalg, "_solve_memo", {})
+    with pytest.raises(UsageError, match="rows differ in length"):
+        solve_exact(a, [[1, 2]])
+    assert not linalg._solve_memo
+
+
+def test_det_refuses_a_matrix_that_is_not_square():
+    for a in ([[1, 2]], [[1, 2], [3]], [[1], [2]]):
+        with pytest.raises(UsageError, match="needs a square matrix"):
+            det_exact(a)
 
 
 def test_solve_memo_hit_matches_a_cold_solve(monkeypatch):

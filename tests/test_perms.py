@@ -111,6 +111,12 @@ def test_perm_parse_rejects_point_in_two_cycles():
         Perm.from_cycles(2, [(1, 2), (1, 2)])
 
 
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"])
+def test_symmetric_group_refuses_a_degree_that_is_no_int(n):
+    with pytest.raises(UsageError, match="n must be an integer"):
+        symmetric_group(n)
+
+
 def test_perm_mul_rejects_degree_mismatch():
     p, q = Perm((1, 2, 3)), Perm((2, 1))
     with pytest.raises(UsageError):

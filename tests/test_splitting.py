@@ -322,6 +322,23 @@ def test_decompose_round_trip_random(name, maker, n_max):
             assert reassemble(F, n, comps) == x
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "1", None])
+def test_decompose_and_reassemble_refuse_an_entry_that_is_no_int(bad):
+    # int() would read 1.5 as 1 and True as 1, and a string would reach mat_vec
+    f = RepRingFunctor()
+    with pytest.raises(UsageError, match="vector entries must be integers"):
+        decompose(f, 3, [bad, 1, 2])
+    with pytest.raises(UsageError, match="vector entries must be integers"):
+        reassemble(f, 3, [(bad,), (), (1,), (1,)])
+    assert decompose(f, 3, [1, 1, 2]) == decompose(f, 3, (v for v in [1, 1, 2]))
+
+
+def test_tower_res_below_one_names_the_tower():
+    for f in (RepRingFunctor(), GlobalFunctor()):
+        with pytest.raises(UsageError, match="^n must be >= 1$"):
+            f.tower_res(0)
+
+
 def test_decompose_validates_length():
     with pytest.raises(UsageError):
         decompose(BurnsideFunctor(), 2, (1, 2, 3))
@@ -388,20 +405,24 @@ def test_decompose_and_reassemble_equal_the_reference_route(maker, n_max):
             assert decompose(f, n, _reference_psi_sum(f, n, parts)) == parts
 
 
-def test_psi_sum_below_the_top_builds_no_top_slot():
-    # the section route passes the n slots below the top, k < n: the stacked
-    # matrix it reads holds no psi(n, n) and asks for no top kernel
+def test_each_level_stacks_its_psi_maps_once(monkeypatch):
+    # decompose passes the slots below the top and reads the leading columns
+    # of the level's one stack, which holds all n + 1 psi maps
     f = RepRingFunctor()
-    parts = [tuple(range(1, len(kernel_basis(f, k)) + 1)) for k in range(5)]
-    got = splitting._psi_sum(f, 5, parts)
-    assert (5, 5) not in f._psi_memo and 5 not in f._kernel_memo
-    assert tuple(got) == _reference_psi_sum(f, 5, parts)
-    # reassemble widens the level's one matrix, and the lower slots then read
-    # its leading columns
-    full = parts + [(1, -1)]
-    assert reassemble(f, 5, full) == _reference_psi_sum(f, 5, full)
-    assert list(f._stack_memo) == [5] and len(f._stack_memo[5][1]) == 6
-    assert tuple(splitting._psi_sum(f, 5, parts)) == tuple(got)
+    x = tuple(range(1, f.tower_value(5).rank + 1))
+    parts = decompose(f, 5, x)
+    assert sorted(f._stack_memo) == [1, 2, 3, 4, 5]
+    stacks = dict(f._stack_memo)
+    for n, (_, widths) in stacks.items():
+        assert widths == tuple(len(kernel_basis(f, k)) for k in range(n + 1))
+
+    def refuse(*args):
+        raise AssertionError("a stack was built twice")
+
+    monkeypatch.setattr(splitting, "psi", refuse)
+    assert reassemble(f, 5, parts) == x == _reference_psi_sum(f, 5, parts)
+    assert decompose(f, 5, x) == parts
+    assert all(f._stack_memo[n] is stacks[n] for n in stacks)
 
 
 @pytest.mark.parametrize("maker,n_max", [(RepRingFunctor, 6), (BurnsideFunctor, 4)])
